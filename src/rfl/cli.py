@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -319,22 +320,63 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
+def _finite_json(value, path: str, non_finite: list):
+    """Copy of a JSON payload with non-finite floats replaced by None.
+
+    Each replaced value is recorded in ``non_finite`` with its key path,
+    since strict JSON has no literal for NaN or infinity.
+    """
+    if isinstance(value, dict):
+        return {k: _finite_json(v, f"{path}/{k}" if path else str(k), non_finite)
+                for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_json(v, f"{path}/{i}", non_finite) for i, v in enumerate(value)]
+    if isinstance(value, float) and not math.isfinite(value):
+        non_finite.append({"path": path, "reason": f"non-finite value {value!r}"})
+        return None
+    return value
+
+
+def _write_atomic(path: Path, text: str) -> None:
+    """Write a file through a temporary sibling and a rename.
+
+    A reader, or a run interrupted mid-write, sees either the previous file
+    or the complete new one, never a truncated one.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def write_outputs(outdir: Path, payload: dict, tables: dict, plots: dict | None = None) -> None:
-    """Write report.json, tables/*.csv and plots/*.svg under one directory."""
+    """Write report.json, tables/*.csv and plots/*.svg under one directory.
+
+    ``report.json`` is strict JSON: non-finite floats are written as null
+    and listed under a top-level ``non_finite`` key with their key paths.
+    Every file is replaced atomically.
+    """
     outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "report.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    non_finite: list = []
+    report = _finite_json(payload, "", non_finite)
+    if non_finite:
+        report["non_finite"] = non_finite
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    _write_atomic(outdir / "report.json", text)
     if tables:
         tdir = outdir / "tables"
         tdir.mkdir(exist_ok=True)
         for name, (header, rows) in tables.items():
             lines = [",".join(header)]
             lines.extend(",".join(_csv_cell(c) for c in row) for row in rows)
-            (tdir / f"{name}.csv").write_text("\n".join(lines) + "\n")
+            _write_atomic(tdir / f"{name}.csv", "\n".join(lines) + "\n")
     if plots:
         pdir = outdir / "plots"
         pdir.mkdir(exist_ok=True)
         for name, svg in plots.items():
-            (pdir / f"{name}.svg").write_text(svg)
+            _write_atomic(pdir / f"{name}.svg", svg)
 
 
 def _cmd_rates(cfg: dict):

@@ -13,8 +13,12 @@ used is recorded on the system.  Power-function values are Schur complements
 computed in double precision; when a system is unjittered and the computed
 values fall below the double-precision noise floor, the affected batch is
 recomputed from exact node coordinates in extended precision (see
-:mod:`rfl._exact`).  Jittered systems never escalate: their Schur complement
-is an upper bound for the exact one and sits safely above the noise.
+:mod:`rfl._exact`), which factors the node Gram once per batch in a
+private mpmath context and so is safe under worker threads.  Jittered
+systems never escalate: their Schur complement is an upper bound for the
+exact one and sits safely above the noise.  Spline kernels (sobolev orders
+other than r in {1, 2}) are only accurate to double precision and never
+escalate either: their entries below the floor are raised to the floor.
 """
 
 from __future__ import annotations
@@ -194,23 +198,34 @@ def _power_squared(system: GramSystem, X: np.ndarray, mode: str) -> np.ndarray:
     guards the largest entry (enough for sup computations) and recomputes
     the whole batch when even the maximum sits below the floor.
     Escalation only ever fires on unjittered systems; a jittered Schur
-    complement is already a valid upper bound.
+    complement is already a valid upper bound.  Kernels without an
+    extended-precision profile (see :func:`rfl._exact.supports`) never
+    escalate: their entries below the floor are raised to the floor.
     """
     k = system.kernel.pairwise(system.points.points, X)
     s = system.kernel.diagonal() - np.einsum("ij,ij->j", k, system.solve(k))
     if system.jitter_used == 0.0:
         n = len(system)
         diag = system.kernel.diagonal()
+        exact = _exact.supports(system.kernel)
         if mode == "point":
             floor = _schur_floor(n, diag, 1e3)
             low = s < floor
             if low.any():
                 s = s.copy()
-                s[low] = _exact.schur_values(
-                    system.kernel, system.points.points, X[low]
+                s[low] = (
+                    _exact.schur_values(system.kernel, system.points.points, X[low])
+                    if exact
+                    else floor
                 )
-        elif s.max() < _schur_floor(n, diag, 1e2):
-            return _exact.schur_values(system.kernel, system.points.points, X)
+        else:
+            floor = _schur_floor(n, diag, 1e2)
+            if s.max() < floor:
+                return (
+                    _exact.schur_values(system.kernel, system.points.points, X)
+                    if exact
+                    else np.full_like(s, floor)
+                )
     return np.maximum(s, 0.0)
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from . import _exact
-from .errors import ArgumentError, DivergenceError, ResourceLimitError
+from .errors import ArgumentError, DivergenceError, ResourceLimitError, SingularGramError
 from .geometry import PointSet, fill_distance, uniform_grid
 from .kernels import Kernel
 from .rkhs import GramSystem, build_gram
@@ -178,7 +178,9 @@ def lambda_min_accurate(kernel: Kernel, points: PointSet, gram) -> tuple[float, 
     noise floor of the rounded matrix is meaningless (the stored matrix is
     often exactly indefinite even though the true one is positive
     definite), so grids then recompute from exact node coordinates in
-    extended precision.  Returns the value and the method tag
+    extended precision.  Other node sets have no extended-precision route
+    and raise :class:`SingularGramError` instead of returning an
+    unresolved value.  Returns the value and the method tag
     ("jacobi" or "extended").
     """
     lam = smallest_eigenvalue(gram)
@@ -186,7 +188,11 @@ def lambda_min_accurate(kernel: Kernel, points: PointSet, gram) -> tuple[float, 
     if lam > floor:
         return lam, "jacobi"
     if points.grid_m is None:
-        return lam, "jacobi"
+        raise SingularGramError(
+            f"smallest Gram eigenvalue {lam:.3e} of {len(points)} non-grid nodes lies "
+            f"below the double-precision noise floor {floor:.3e}, and only grids "
+            "have an extended-precision fallback"
+        )
     refined = _exact.grid_lambda_min(kernel, points.grid_m, points.dim)
     return refined, "extended"
 
@@ -240,7 +246,9 @@ def holder_constant_G(
     the fill distance of the node set and (alpha, C_K) the kernel's Hölder
     data.  By default the operator norm is the numerically computed
     1/lambda_min; pass ``inv_op_norm`` to substitute a bound (for example
-    the spectral-density one) instead.
+    the spectral-density one) instead.  The computed value on a non-grid
+    node set below the noise floor raises :class:`SingularGramError` (see
+    :func:`lambda_min_accurate`).
     """
     if not (0.0 < s <= 1.0):
         raise ArgumentError(f"exponent s must lie in (0, 1], got {s!r}")

@@ -247,3 +247,31 @@ def test_meta_no_tables(tmp_path):
     assert report["metadata"]["widths"] == [189, 196608000]
     assert isinstance(report["metadata"]["param_count_bound"], str)
     assert not (out / "tables").exists()
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_train_single_sample_report_is_strict_json(tmp_path):
+    # one sample leaves the held-out split empty, so its errors are NaN
+    out = tmp_path / "one"
+    code = run(
+        ["train", *GAUSS_FLAGS, "--m", "2", "--n-samples", "1", "--epochs", "2",
+         "--widths", "4,4", "--out", str(out)]
+    )
+    assert code == 0
+    report = json.loads(read(out / "report.json"), parse_constant=_reject_constant)
+    assert report["train_report"]["heldout_sup_error"] is None
+    assert report["train_report"]["heldout_mean_abs"] is None
+    paths = {entry["path"] for entry in report["non_finite"]}
+    assert paths == {"train_report/heldout_sup_error", "train_report/heldout_mean_abs"}
+    assert all(entry["reason"] for entry in report["non_finite"])
+    assert sorted(p.name for p in out.rglob("*")) == ["loss_curve.csv", "report.json", "tables"]
+
+
+def test_finite_report_has_no_non_finite_key(tmp_path):
+    out = tmp_path / "r"
+    assert run(["rates", *GAUSS_FLAGS, "--m-list", "2,4,6,8", "--out", str(out)]) == 0
+    report = json.loads(read(out / "report.json"), parse_constant=_reject_constant)
+    assert "non_finite" not in report

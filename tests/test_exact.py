@@ -1,0 +1,108 @@
+"""Extended-precision fallbacks: bit identity and isolation from mpmath.mp.
+
+The factor-once Schur path is compared bit for bit against the per-point
+``cholesky_solve`` algorithm it replaces, and worker threads are checked
+to neither leak a working precision into the process-wide mpmath context
+nor pick one up from each other.
+"""
+
+from __future__ import annotations
+
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
+import mpmath
+import numpy as np
+import pytest
+
+from rfl import Kernel, _exact, rate_study_power, uniform_grid
+
+GAUSS = Kernel("gaussian", sigma=1.0, dim=1)
+
+
+def _reference_schur(kernel, nodes, xs):
+    """Per-point ``cholesky_solve``: refactors the node Gram for every point."""
+    ctx = _exact._context()
+    coords = [tuple(ctx.mpf(float(c)) for c in row) for row in nodes]
+    K = _exact._gram_mp(ctx, kernel, coords)
+    diag = _exact._profile_mp(ctx, kernel, ctx.mpf(0))
+    out = []
+    for row in xs:
+        x = tuple(ctx.mpf(float(c)) for c in row)
+        k = ctx.matrix(
+            [_exact._profile_mp(ctx, kernel, sum((a - b) ** 2 for a, b in zip(c, x))) for c in coords]
+        )
+        y = ctx.cholesky_solve(K, k)
+        s = diag - sum(k[i] * y[i] for i in range(len(coords)))
+        out.append(float(max(s, ctx.mpf(0))))
+    return np.array(out)
+
+
+def _probe_points(nodes, seed):
+    rng = np.random.default_rng(seed)
+    near = np.vstack([nodes + 3e-7, nodes - 8e-7])
+    far = rng.uniform(0.0, 1.0, size=(12, nodes.shape[1]))
+    return np.clip(np.vstack([nodes, near, far]), 0.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "kernel, m",
+    [
+        (Kernel("gaussian", sigma=0.5, dim=1), 8),
+        (Kernel("gaussian", sigma=1.0, dim=2), 3),
+        (Kernel("sobolev", r=1.0, dim=1), 8),
+        (Kernel("sobolev", r=2.0, dim=1), 8),
+        (Kernel("inverse_multiquadric", sigma=1.0, beta=1.0, dim=1), 8),
+    ],
+)
+def test_schur_values_bit_identical_to_per_point_solve(kernel, m):
+    nodes = uniform_grid(m, kernel.dim).points
+    xs = _probe_points(nodes, seed=m)
+    want = _reference_schur(kernel, nodes, xs)
+    got = _exact.schur_values(kernel, nodes, xs)
+    assert got.tobytes() == want.tobytes()
+    # the nodes themselves exercise the clamp at zero
+    assert (got[: len(nodes)] == 0.0).any()
+    assert (got > 0.0).any()
+
+
+def test_threads_keep_global_precision_and_values():
+    ms = list(range(8, 13))
+    nodes = uniform_grid(8, 1).points
+    xs = _probe_points(nodes, seed=1)
+    serial_lams = [_exact.grid_lambda_min(GAUSS, m, 1).hex() for m in ms]
+    serial_schur = _exact.schur_values(GAUSS, nodes, xs).tobytes()
+    assert mpmath.mp.dps == 15
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            lams = [pool.submit(_exact.grid_lambda_min, GAUSS, m, 1) for m in ms * 2]
+            schurs = [pool.submit(_exact.schur_values, GAUSS, nodes, xs) for _ in range(2)]
+            threaded_lams = [f.result(timeout=120).hex() for f in lams]
+            threaded_schur = [f.result(timeout=120).tobytes() for f in schurs]
+    finally:
+        sys.setswitchinterval(interval)
+    assert mpmath.mp.dps == 15
+    assert threaded_lams == serial_lams * 2
+    assert threaded_schur == [serial_schur] * 2
+
+
+def test_rate_study_power_threads_match_with_escalation():
+    # sigma=2 escalates the sups at m=6 and m=7 into extended precision,
+    # so both workers run _exact at the same time
+    kernel = Kernel("gaussian", sigma=2.0, dim=1)
+    serial = rate_study_power(kernel, [2, 4, 6, 7], threads=1)
+    parallel = rate_study_power(kernel, [2, 4, 6, 7], threads=2)
+    assert parallel.table() == serial.table()
+    assert mpmath.mp.dps == 15
+
+
+def test_supports():
+    assert _exact.supports(GAUSS)
+    assert _exact.supports(Kernel("inverse_multiquadric", sigma=1.0, beta=2.0, dim=1))
+    assert _exact.supports(Kernel("sobolev", r=1.0, dim=1))
+    assert _exact.supports(Kernel("sobolev", r=2.0, dim=1))
+    assert not _exact.supports(Kernel("sobolev", r=1.25, dim=1))
+    assert not _exact.supports(Kernel("sobolev", r=2.75, dim=1))

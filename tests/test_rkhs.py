@@ -312,3 +312,24 @@ def test_gram_system_is_frozen():
     assert isinstance(sys2, GramSystem)
     with pytest.raises(AttributeError):
         sys2.jitter_used = 1.0
+
+
+@pytest.mark.parametrize("r", [1.25, 2.75])
+def test_spline_sobolev_power_values_do_not_escalate(r):
+    # orders outside {1, 2} use the spline profile, which has no
+    # extended-precision form: sub-floor entries are raised to the floor
+    kernel = Kernel("sobolev", r=r, dim=1)
+    system = build_gram(kernel, uniform_grid(8, 1))
+    at_nodes = power_values(system, system.points)
+    assert np.isfinite(at_nodes).all() and (at_nodes > 0.0).all()
+    X = np.clip(
+        np.concatenate([system.points.points[:, 0] + 1e-7, (np.arange(512) + 0.5) / 512]), 0.0, 1.0
+    )[:, None]
+    pvals = power_values(system, X)
+    assert np.isfinite(pvals).all()
+    assert np.isfinite(power_function_sup(system))
+    for seed in range(10):
+        f = sample_unit_ball(kernel, 10, 1.0, seed=seed)
+        pf = project(system, f.eval_at(system.points.points))
+        err = np.abs(f.eval_at(X) - pf.eval_at(X))
+        assert (err <= rkhs_norm(f) * pvals * (1.0 + 1e-6)).all()

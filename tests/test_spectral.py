@@ -17,11 +17,13 @@ from rfl import (
     ArgumentError,
     Kernel,
     ResourceLimitError,
+    SingularGramError,
     SpectralReport,
     UnsupportedConfigurationError,
     build_gram,
     check_eigen_lower_bound,
     fill_distance,
+    halton_points,
     holder_constant_G,
     inverse_operator_norm,
     lambda_min_accurate,
@@ -221,3 +223,15 @@ def test_holder_constant_G_frozen_sequences():
     assert holder_constant_G(build_gram(GAUSS, uniform_grid(4, 1)), 1.0, 1.0) == pytest.approx(
         5.5604e4, rel=1e-3
     )
+
+
+def test_holder_constant_G_off_grid_below_floor_raises():
+    # 40 Halton nodes make the gaussian Gram numerically indefinite; with no
+    # extended-precision route off the grid, a sub-floor eigenvalue must not
+    # turn into a (negative) Hölder constant
+    nodes = halton_points(40, 1)
+    system = build_gram(GAUSS, nodes)
+    with pytest.raises(SingularGramError, match="noise floor"):
+        lambda_min_accurate(GAUSS, nodes, system.gram)
+    with pytest.raises(SingularGramError):
+        holder_constant_G(system, 1.0, 1.0)
