@@ -3,8 +3,10 @@
 Every error raised by the public API derives from :class:`RflError`, so
 callers can catch one base class at an API boundary.  The concrete types
 distinguish caller mistakes from numerical failures: the CLI maps
-:class:`ConfigError` and :class:`ArgumentError` to exit code 2 and the
-numerical family to exit code 3.
+:class:`ConfigError`, :class:`ArgumentError`,
+:class:`UnsupportedConfigurationError` and :class:`ResourceLimitError` to
+exit code 2, and the numerical family (:class:`SingularGramError`,
+:class:`DivergenceError`) to exit code 3.
 """
 
 from __future__ import annotations

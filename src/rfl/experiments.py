@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.stats import linregress
@@ -22,6 +22,7 @@ from .geometry import PointSet, uniform_grid
 from .kernels import GAUSSIAN, INVERSE_MULTIQUADRIC, SOBOLEV, Kernel, m_d_constant
 from .nets import TrainConfig, TrainReport, forward_batch, init, theoretical_widths, train
 from .rkhs import (
+    GramSystem,
     RkhsFunction,
     build_gram,
     power_function_sup,
@@ -144,7 +145,9 @@ class DecompositionResult:
     term_I is the largest |F(f) - F(Pf)| over the samples, term_II the
     largest |F(Pf) - net(f at nodes)|, and total the largest end-to-end
     error; the triangle inequality total <= term_I + term_II is asserted at
-    construction time by the producing routine.
+    construction time by the producing routine.  ``system`` is the Gram
+    system of the node grid, kept for callers that need more of it; it is
+    not part of the JSON form.
     """
 
     term_I: float
@@ -153,6 +156,7 @@ class DecompositionResult:
     c_f: float
     power_sup: float
     train_report: TrainReport
+    system: GramSystem = field(repr=False, compare=False)
 
     def to_json(self) -> dict:
         return {
@@ -204,6 +208,7 @@ def error_decomposition(
         c_f=functional.holder_constant(kernel),
         power_sup=power_function_sup(system),
         train_report=report,
+        system=system,
     )
 
 
@@ -465,7 +470,7 @@ def flm_experiment(
         dec = error_decomposition(
             kernel, functional, int(m), int(n_samples), train_config, dataset=dataset
         )
-        system = build_gram(kernel, dataset.grid)
+        system = dec.system
         c_g = holder_constant_G(system, functional.holder_exponent(), dec.c_f)
         rows.append(
             FlmRunRow(

@@ -4,6 +4,17 @@ The network computes a^T tanh(W2 tanh(W1 x - b1) - b2); biases are
 subtracted after the affine map, matching the convention of the width
 schedule in :func:`theoretical_widths`.  Everything is plain numpy and
 deterministic per seed; training is single threaded.
+
+:func:`train` keeps the parameters, the gradient and both Adam moments in
+one flat float64 buffer each; during training the network's five fields
+are reshaped views of the parameter buffer, and on return (also after a
+divergence) the trained values are copied back into the caller's arrays.
+:func:`gradient` is still called once per minibatch and its result copied
+into the gradient buffer.  Every Adam operation is elementwise and runs
+in the same order as a per-parameter update, so one update of the flat
+buffers is bit-identical to updating the five arrays one at a time.  The
+per-epoch train loss runs the forward pass into two preallocated
+activation buffers.
 """
 
 from __future__ import annotations
@@ -133,8 +144,18 @@ def forward_batch(net: TanhNetwork, X: np.ndarray) -> np.ndarray:
         raise ArgumentError(
             f"expected inputs with {net.input_dim} features, got {X.shape[1]}"
         )
-    H1 = np.tanh(X @ net.W1.T - net.b1)
-    H2 = np.tanh(H1 @ net.W2.T - net.b2)
+    n = X.shape[0]
+    return _forward_into(net, X, np.empty((n, net.widths[0])), np.empty((n, net.widths[1])))
+
+
+def _forward_into(net: TanhNetwork, X: np.ndarray, H1: np.ndarray, H2: np.ndarray) -> np.ndarray:
+    """Network outputs, with the hidden layers written into (n, w1) H1 and (n, w2) H2."""
+    np.matmul(X, net.W1.T, out=H1)
+    np.subtract(H1, net.b1, out=H1)
+    np.tanh(H1, out=H1)
+    np.matmul(H1, net.W2.T, out=H2)
+    np.subtract(H2, net.b2, out=H2)
+    np.tanh(H2, out=H2)
     return H2 @ net.a
 
 
@@ -204,6 +225,16 @@ class TrainConfig:
             raise ArgumentError(f"epochs must be >= 0, got {self.epochs!r}")
         if self.batch_size < 1:
             raise ArgumentError(f"batch_size must be >= 1, got {self.batch_size!r}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise ArgumentError(
+                f"learning_rate must be finite and > 0, got {self.learning_rate!r}"
+            )
+        for name in ("beta1", "beta2"):
+            beta = getattr(self, name)
+            if not 0.0 <= beta < 1.0:
+                raise ArgumentError(f"{name} must lie in [0, 1), got {beta!r}")
+        if not (math.isfinite(self.adam_eps) and self.adam_eps > 0.0):
+            raise ArgumentError(f"adam_eps must be finite and > 0, got {self.adam_eps!r}")
         if self.lr_schedule not in ("constant", "cosine"):
             raise ArgumentError(
                 f"lr_schedule must be 'constant' or 'cosine', got {self.lr_schedule!r}"
@@ -247,13 +278,24 @@ class TrainReport:
         }
 
 
+def _views(flat: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
+    """Consecutive reshaped views of ``flat``, one per shape."""
+    views, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[start : start + size].reshape(shape))
+        start += size
+    return views
+
+
 def train(net: TanhNetwork, dataset, config: TrainConfig) -> TrainReport:
     """Adaptive-moment gradient descent on half-MSE with bias correction.
 
     ``dataset`` must expose train_x, train_y, heldout_x, heldout_y arrays.
     The loss curve records the plain train MSE once per epoch.  A
     non-finite loss aborts with a divergence error carrying the epoch it
-    happened in.
+    happened in.  The network's own parameter arrays hold the trained
+    values on return, also when training diverges.
     """
     X = np.asarray(dataset.train_x, dtype=float)
     y = np.asarray(dataset.train_y, dtype=float)
@@ -261,37 +303,65 @@ def train(net: TanhNetwork, dataset, config: TrainConfig) -> TrainReport:
     if n == 0:
         raise ArgumentError("training set is empty")
     rng = np.random.default_rng(config.seed)
-    params = net.parameters()
-    m_state = [np.zeros_like(p) for p in params]
-    v_state = [np.zeros_like(p) for p in params]
+    beta1, beta2, eps = config.beta1, config.beta2, config.adam_eps
+    originals = net.parameters()
+    shapes = [p.shape for p in originals]
+    theta = np.concatenate([p.ravel() for p in originals])
+    grad = np.empty_like(theta)
+    grad_views = _views(grad, shapes)
+    m_state = np.zeros_like(theta)
+    v_state = np.zeros_like(theta)
+    s1 = np.empty_like(theta)
+    s2 = np.empty_like(theta)
+    H1 = np.empty((n, net.widths[0]))
+    H2 = np.empty((n, net.widths[1]))
+    net.W1, net.b1, net.W2, net.b2, net.a = _views(theta, shapes)
     step = 0
     loss_curve: list[float] = []
-    for epoch in range(config.epochs):
-        if config.lr_schedule == "cosine":
-            lr = config.learning_rate * 0.5 * (1.0 + math.cos(math.pi * epoch / config.epochs))
-        else:
-            lr = config.learning_rate
-        order = rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            grads = gradient(net, X[idx], y[idx])
-            step += 1
-            c1 = 1.0 - config.beta1**step
-            c2 = 1.0 - config.beta2**step
-            for p, g, ms, vs in zip(params, grads, m_state, v_state):
-                ms *= config.beta1
-                ms += (1.0 - config.beta1) * g
-                vs *= config.beta2
-                vs += (1.0 - config.beta2) * (g * g)
-                p -= lr * (ms / c1) / (np.sqrt(vs / c2) + config.adam_eps)
-        epoch_mse = loss_mse(net, X, y)
-        if not math.isfinite(epoch_mse):
-            raise DivergenceError(
-                f"training loss became non-finite in epoch {epoch + 1} "
-                f"(lr={lr:.3e}, widths={net.widths})"
-            )
-        loss_curve.append(epoch_mse)
-    final_mse = loss_mse(net, X, y)
+    try:
+        for epoch in range(config.epochs):
+            if config.lr_schedule == "cosine":
+                lr = config.learning_rate * 0.5 * (1.0 + math.cos(math.pi * epoch / config.epochs))
+            else:
+                lr = config.learning_rate
+            order = rng.permutation(n)
+            for start in range(0, n, config.batch_size):
+                idx = order[start : start + config.batch_size]
+                for view, g in zip(grad_views, gradient(net, X[idx], y[idx])):
+                    view[...] = g
+                step += 1
+                c1 = 1.0 - beta1**step
+                c2 = 1.0 - beta2**step
+                # m = b1 m + (1-b1) g;  v = b2 v + (1-b2) g^2
+                m_state *= beta1
+                np.multiply(grad, 1.0 - beta1, out=s1)
+                m_state += s1
+                v_state *= beta2
+                np.multiply(grad, grad, out=s1)
+                s1 *= 1.0 - beta2
+                v_state += s1
+                # theta -= lr (m/c1) / (sqrt(v/c2) + eps)
+                np.divide(v_state, c2, out=s1)
+                np.sqrt(s1, out=s1)
+                s1 += eps
+                np.divide(m_state, c1, out=s2)
+                s2 *= lr
+                s2 /= s1
+                theta -= s2
+            resid = _forward_into(net, X, H1, H2) - y
+            epoch_mse = float(np.mean(resid * resid))
+            if not math.isfinite(epoch_mse):
+                raise DivergenceError(
+                    f"training loss became non-finite in epoch {epoch + 1} "
+                    f"(lr={lr:.3e}, widths={net.widths})"
+                )
+            loss_curve.append(epoch_mse)
+    finally:
+        for p, trained in zip(originals, net.parameters()):
+            p[...] = trained
+        net.W1, net.b1, net.W2, net.b2, net.a = originals
+    del H1, H2  # free the activation buffers before the held-out forward pass
+    final_mse = loss_curve[-1] if loss_curve else loss_mse(net, X, y)
     hx = np.asarray(dataset.heldout_x, dtype=float)
     hy = np.asarray(dataset.heldout_y, dtype=float)
     if hx.shape[0] > 0:

@@ -7,7 +7,17 @@ from pathlib import Path
 
 import pytest
 
+import rfl.cli
 from rfl.cli import run
+from rfl.errors import (
+    ArgumentError,
+    ConfigError,
+    DivergenceError,
+    ResourceLimitError,
+    RflError,
+    SingularGramError,
+    UnsupportedConfigurationError,
+)
 
 GAUSS_FLAGS = ["--kernel", "gaussian", "--sigma", "1.0", "--d", "1"]
 
@@ -152,6 +162,37 @@ def test_unsupported_configuration_exits_2(tmp_path):
         ["meta", "--theorem", "multiquadric", "--M", "64", "--d", "5", "--out", str(tmp_path / "m")]
     )
     assert code == 2
+
+
+DOCUMENTED_EXIT_CODES = {
+    ConfigError: 2,
+    ArgumentError: 2,
+    UnsupportedConfigurationError: 2,
+    ResourceLimitError: 2,
+    SingularGramError: 3,
+    DivergenceError: 3,
+}
+
+
+def _error_subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _error_subclasses(sub)
+
+
+def test_every_error_subclass_has_its_documented_exit_code(tmp_path, monkeypatch, capsys):
+    subclasses = set(_error_subclasses(RflError))
+    assert subclasses == set(DOCUMENTED_EXIT_CODES)
+    for cls in subclasses:
+
+        def handler(cfg, cls=cls):
+            raise cls("raised from a patched handler")
+
+        monkeypatch.setitem(rfl.cli._HANDLERS, "meta", handler)
+        out = tmp_path / cls.__name__
+        code = run(["meta", "--theorem", "sobolev", "--M", "64", "--out", str(out)])
+        assert code == DOCUMENTED_EXIT_CODES[cls], cls.__name__
+        assert "raised from a patched handler" in capsys.readouterr().err
 
 
 def test_numerical_failure_exits_3(tmp_path):

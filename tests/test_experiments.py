@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import rfl.experiments
 from rfl import (
     ArgumentError,
     Dataset,
@@ -200,6 +201,25 @@ def test_flm_experiment_smoke():
     assert header[:4] == ["kernel", "m", "M", "seed"]
     assert len(rows) == 2
     assert exp.to_json()["n_samples"] == 30
+
+
+def test_flm_experiment_builds_one_gram_system_per_grid_size(monkeypatch):
+    built = []
+    original = rfl.experiments.build_gram
+
+    def counting(kernel, points):
+        built.append(original(kernel, points))
+        return built[-1]
+
+    monkeypatch.setattr(rfl.experiments, "build_gram", counting)
+    config = TrainConfig(epochs=1, widths=(4, 4), seed=0)
+    exp = flm_experiment("sin2pi", "tanh", GAUSS, [1, 2], config, n_samples=20)
+    assert len(built) == 2
+    assert [r.n_nodes for r in exp.rows] == [len(s) for s in built]
+    assert [r.jitter_used for r in exp.rows] == [s.jitter_used for s in built]
+    dec = error_decomposition(GAUSS, ENERGY, m=2, n_samples=20, train_config=config)
+    assert dec.system is built[-1]
+    assert "system" not in dec.to_json()
 
 
 def test_theorem_metadata_sobolev_frozen():

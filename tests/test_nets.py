@@ -8,6 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import rfl.nets
 from rfl import (
     ArgumentError,
     DivergenceError,
@@ -248,6 +249,28 @@ def test_train_config_validation():
     with pytest.raises(ArgumentError):
         TrainConfig(lr_schedule="step")
     assert TrainConfig().lr_schedule == "cosine"
+    assert TrainConfig(beta1=0.0, beta2=0.0).beta1 == 0.0
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("learning_rate", -1e-3),
+        ("learning_rate", 0.0),
+        ("learning_rate", math.inf),
+        ("learning_rate", math.nan),
+        ("beta1", 1.0),
+        ("beta1", -0.1),
+        ("beta2", 1.5),
+        ("beta2", math.nan),
+        ("adam_eps", -1.0),
+        ("adam_eps", 0.0),
+        ("adam_eps", math.inf),
+    ],
+)
+def test_train_config_rejects_optimizer_settings(field, value):
+    with pytest.raises(ArgumentError, match=field):
+        TrainConfig(**{field: value})
 
 
 def test_network_json_roundtrip():
@@ -274,3 +297,124 @@ def test_report_and_config_json():
         loss_curve=[0.5],
     )
     assert report.to_json()["loss_curve"] == [0.5]
+
+
+def reference_train(net, dataset, config):
+    """Per-parameter Adam loop: the oracle the fused ``train`` must match bit for bit."""
+    X = np.asarray(dataset.train_x, dtype=float)
+    y = np.asarray(dataset.train_y, dtype=float)
+    n = X.shape[0]
+    rng = np.random.default_rng(config.seed)
+    params = net.parameters()
+    m_state = [np.zeros_like(p) for p in params]
+    v_state = [np.zeros_like(p) for p in params]
+    step = 0
+    curve = []
+    for epoch in range(config.epochs):
+        if config.lr_schedule == "cosine":
+            lr = config.learning_rate * 0.5 * (1.0 + math.cos(math.pi * epoch / config.epochs))
+        else:
+            lr = config.learning_rate
+        order = rng.permutation(n)
+        for start in range(0, n, config.batch_size):
+            idx = order[start : start + config.batch_size]
+            grads = gradient(net, X[idx], y[idx])
+            step += 1
+            c1 = 1.0 - config.beta1**step
+            c2 = 1.0 - config.beta2**step
+            for p, g, ms, vs in zip(params, grads, m_state, v_state):
+                ms *= config.beta1
+                ms += (1.0 - config.beta1) * g
+                vs *= config.beta2
+                vs += (1.0 - config.beta2) * (g * g)
+                p -= lr * (ms / c1) / (np.sqrt(vs / c2) + config.adam_eps)
+        epoch_mse = loss_mse(net, X, y)
+        if not math.isfinite(epoch_mse):
+            raise DivergenceError(f"non-finite loss in epoch {epoch + 1}")
+        curve.append(epoch_mse)
+    resid = np.abs(forward_batch(net, dataset.heldout_x) - dataset.heldout_y)
+    return curve, loss_mse(net, X, y), float(resid.max()), float(resid.mean())
+
+
+def regression_dataset(n, dim, seed=0):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1, 1, (n, dim))
+    y = 0.3 * np.sin(2.0 * x.sum(axis=1)) + 0.1 * x[:, 0] ** 2
+    cut = int(0.8 * n)
+    return SimpleNamespace(
+        train_x=x[:cut], train_y=y[:cut], heldout_x=x[cut:], heldout_y=y[cut:]
+    )
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize(
+    "n, dim, widths, batch_size, epochs, schedule",
+    [
+        (256, 1, (8, 8), 64, 6, "cosine"),
+        (256, 1, (8, 8), 64, 6, "constant"),
+        (63, 1, (6, 5), 16, 5, "cosine"),  # 50 training rows: the last batch has 2
+        (120, 3, (32, 16), 32, 4, "constant"),
+        (120, 3, (32, 16), 32, 0, "cosine"),
+    ],
+)
+def test_fused_train_bit_identical_to_per_parameter_adam(
+    n, dim, widths, batch_size, epochs, schedule
+):
+    data = regression_dataset(n, dim)
+    config = TrainConfig(
+        epochs=epochs,
+        batch_size=batch_size,
+        learning_rate=3e-3,
+        seed=3,
+        widths=widths,
+        lr_schedule=schedule,
+    )
+    ref_net = init(dim, widths, seed=4)
+    curve, final, sup, mean_abs = reference_train(ref_net, data, config)
+    net = init(dim, widths, seed=4)
+    held = net.parameters()
+    report = train(net, data, config)
+    assert all(p is q for p, q in zip(net.parameters(), held))
+    for p, q in zip(held, ref_net.parameters()):
+        assert p.shape == q.shape
+        assert p.tobytes() == q.tobytes()
+    assert hexes(report.loss_curve) == hexes(curve)
+    assert hexes([report.final_train_mse]) == hexes([final])
+    assert hexes([report.heldout_sup_error, report.heldout_mean_abs]) == hexes([sup, mean_abs])
+
+
+def test_fused_train_divergence_leaves_reference_weights():
+    # gradients and moments stay finite, so the weights move before the
+    # squared residuals overflow the epoch loss
+    data = regression_dataset(64, 2)
+    data.train_y = np.full_like(data.train_y, 3e154)
+    config = TrainConfig(epochs=3, batch_size=16, widths=(5, 4), seed=1)
+    ref_net = init(2, (5, 4), seed=2)
+    with np.errstate(all="ignore"), pytest.raises(DivergenceError):
+        reference_train(ref_net, data, config)
+    net = init(2, (5, 4), seed=2)
+    held = net.parameters()
+    with np.errstate(all="ignore"), pytest.raises(DivergenceError, match="epoch 1"):
+        train(net, data, config)
+    assert all(p is q for p, q in zip(net.parameters(), held))
+    assert not np.array_equal(held[2], init(2, (5, 4), seed=2).W2)
+    for p, q in zip(held, ref_net.parameters()):
+        assert p.tobytes() == q.tobytes()
+
+
+def test_train_calls_module_gradient_once_per_minibatch(monkeypatch):
+    calls = []
+    original = rfl.nets.gradient
+
+    def counting(net, X, y):
+        calls.append(len(X))
+        return original(net, X, y)
+
+    monkeypatch.setattr(rfl.nets, "gradient", counting)
+    data = regression_dataset(63, 1)  # 50 training rows
+    train(init(1, (4, 4), seed=0), data, TrainConfig(epochs=3, batch_size=16, widths=(4, 4)))
+    assert len(calls) == 3 * math.ceil(50 / 16)
+    assert calls[:4] == [16, 16, 16, 2]
