@@ -3,6 +3,7 @@
 Subcommands: rates, eigen, project, train, flm, meta.  Each accepts an
 optional JSON config file (``--config``) validated against a strict
 schema that rejects unknown keys; individual flags override file values.
+The flags, their merge into the config and the schemas all come from ``_OPTIONS``.
 Outputs land under ``--out``, or ``$RFL_OUT_DIR/<command>``, or
 ``./rfl_out/<command>``: a ``report.json`` echoing the merged config,
 ``tables/*.csv``, and ``plots/*.svg`` when ``--plots`` is given.  CSV
@@ -15,6 +16,7 @@ numerical failures (singular Gram matrix, divergence).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -35,6 +37,7 @@ from .errors import (
 )
 from .experiments import (
     THEOREM_FAMILIES,
+    _unit_ball_draws,
     flm_experiment,
     generate_dataset,
     kernel_label,
@@ -52,27 +55,16 @@ from .rkhs import (
     power_function_sup,
     project,
     rkhs_norm,
-    sample_unit_ball,
     sup_error,
 )
 
-_INT = {"type": "integer"}
 _POS_INT = {"type": "integer", "minimum": 1}
 _POS_NUM = {"type": "number", "exclusiveMinimum": 0}
+_NUM = {"type": "number"}
 _M_LIST = {"type": "array", "items": _POS_INT, "minItems": 1}
-
-_KERNEL_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "family": {"enum": sorted(FAMILIES)},
-        "sigma": _POS_NUM,
-        "beta": _POS_NUM,
-        "r": {"type": "number"},
-        "dim": _POS_INT,
-    },
-    "required": ["family"],
-}
+_ARG_TYPES = {"integer": int, "number": float}
+# meta's theorem constants (the ``params`` object), by flag name
+_PARAMS = dict(r=_NUM, s=_POS_NUM, d=_POS_INT, sigma=_POS_NUM, beta=_POS_NUM, c=_POS_NUM)
 
 _FUNCTIONAL_SCHEMA = {
     "type": "object",
@@ -98,118 +90,116 @@ _FUNCTIONAL_SCHEMA = {
     "required": ["kind"],
 }
 
-_COMMON_PROPS = {
-    "seed": _INT,
-    "output_dir": {"type": "string"},
-    "threads": _POS_INT,
-    "plots": {"type": "boolean"},
-}
 
-_TRAIN_PROPS = {
-    "widths": {"type": "array", "items": _POS_INT, "minItems": 2, "maxItems": 2},
-    "epochs": _POS_INT,
-    "batch_size": _POS_INT,
-    "learning_rate": _POS_NUM,
-    "lr_schedule": {"enum": ["constant", "cosine"]},
-}
-
-
-def _schema(props: dict) -> dict:
-    merged = dict(_COMMON_PROPS)
-    merged.update(props)
-    return {"type": "object", "additionalProperties": False, "properties": merged}
-
-
-_COMMAND_SCHEMAS = {
-    "rates": _schema(
-        {
-            "kernel": _KERNEL_SCHEMA,
-            "m_list": {**_M_LIST, "minItems": 4},
-            "eval_resolution": _POS_INT,
-        }
-    ),
-    "eigen": _schema({"kernel": _KERNEL_SCHEMA, "m_list": _M_LIST, "d": _POS_INT}),
-    "project": _schema(
-        {
-            "kernel": _KERNEL_SCHEMA,
-            "m": _POS_INT,
-            "n_samples": _POS_INT,
-            "n_centers": _POS_INT,
-            "eval_resolution": _POS_INT,
-        }
-    ),
-    "train": _schema(
-        {
-            "kernel": _KERNEL_SCHEMA,
-            "functional": _FUNCTIONAL_SCHEMA,
-            "weight": {"enum": sorted(BETAS)},
-            "link": {"enum": sorted(LINKS)},
-            "m": _POS_INT,
-            "n_samples": _POS_INT,
-            **_TRAIN_PROPS,
-        }
-    ),
-    "flm": _schema(
-        {
-            "kernel": _KERNEL_SCHEMA,
-            "weight": {"enum": sorted(BETAS)},
-            "link": {"enum": sorted(LINKS)},
-            "m_list": _M_LIST,
-            "n_samples": _POS_INT,
-            **_TRAIN_PROPS,
-        }
-    ),
-    "meta": _schema(
-        {
-            "theorem": {"enum": sorted(THEOREM_FAMILIES)},
-            "M": {"type": "integer", "minimum": 2},
-            "params": {
-                "type": "object",
-                "additionalProperties": False,
-                "properties": {
-                    "r": {"type": "number"},
-                    "s": _POS_NUM,
-                    "d": _POS_INT,
-                    "sigma": _POS_NUM,
-                    "beta": _POS_NUM,
-                    "c": _POS_NUM,
-                },
-            },
-        }
-    ),
-}
-
-_KERNEL_FLAGS = ("sigma", "beta", "r")
-_SCALAR_FLAGS = {
-    "out": "output_dir",
-    "m": "m",
-    "M": "M",
-    "seed": "seed",
-    "threads": "threads",
-    "n_samples": "n_samples",
-    "n_centers": "n_centers",
-    "eval_resolution": "eval_resolution",
-    "epochs": "epochs",
-    "batch_size": "batch_size",
-    "lr": "learning_rate",
-    "lr_schedule": "lr_schedule",
-    "weight": "weight",
-    "link": "link",
-    "theorem": "theorem",
-}
-_META_PARAM_FLAGS = ("r", "s", "d", "sigma", "beta", "c")
-
-
-def _parse_int_list(text: str, flag: str) -> list[int]:
+def _int_list(arg: str) -> list[int]:
+    """Argparse type of the comma separated integer flags, e.g. ``2,4,8``."""
     try:
-        return [int(part) for part in text.split(",") if part.strip() != ""]
+        return [int(part) for part in arg.split(",") if part.strip() != ""]
     except ValueError:
-        raise ConfigError(f"{flag} expects comma separated integers, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"expects comma separated integers, got {arg!r}") from None
+
+
+# config key -> (flag, argparse keywords, JSON schema).  A dotted key is a
+# field of the ``kernel`` or ``params`` object.  The parser takes ``type``
+# from an integer or number schema and ``choices`` from an enum schema.
+_OPTIONS = {
+    "seed": ("--seed", {"help": "master seed"}, {"type": "integer", "minimum": 0}),
+    "output_dir": (
+        "--out",
+        {"help": "output directory (default $RFL_OUT_DIR/<command>)"},
+        {"type": "string"},
+    ),
+    "threads": (
+        "--threads",
+        {"help": "worker threads for per-grid-size studies (default 1 for reproducibility)"},
+        _POS_INT,
+    ),
+    "plots": (
+        "--plots", {"action": "store_true", "help": "also write SVG plots"}, {"type": "boolean"}
+    ),
+    "kernel.family": ("--kernel", {"help": "kernel family"}, {"enum": sorted(FAMILIES)}),
+    "kernel.sigma": ("--sigma", {"help": "kernel length-scale"}, _POS_NUM),
+    "kernel.beta": ("--beta", {"help": "inverse multiquadric exponent"}, _POS_NUM),
+    "kernel.r": ("--r", {"help": "sobolev smoothness order"}, _NUM),
+    "kernel.dim": ("--d", {"help": "input dimension"}, _POS_INT),
+    "m": ("--m", {"help": "grid size"}, _POS_INT),
+    "m_list": ("--m-list", {"type": _int_list, "help": "comma separated grid sizes"}, _M_LIST),
+    "eval_resolution": ("--eval-resolution", {}, _POS_INT),
+    "n_samples": ("--n-samples", {}, _POS_INT),
+    "n_centers": ("--n-centers", {}, _POS_INT),
+    "functional": (
+        "--functional",
+        {"type": json.loads, "help": "functional config as inline JSON"},
+        _FUNCTIONAL_SCHEMA,
+    ),
+    "weight": ("--weight", {"help": "integral weight name"}, {"enum": sorted(BETAS)}),
+    "link": ("--link", {"help": "link function name"}, {"enum": sorted(LINKS)}),
+    "widths": (
+        "--widths",
+        {"type": _int_list, "help": "two comma separated hidden widths, e.g. 64,64"},
+        {"type": "array", "items": _POS_INT, "minItems": 2, "maxItems": 2},
+    ),
+    "epochs": ("--epochs", {}, _POS_INT),
+    "batch_size": ("--batch-size", {}, _POS_INT),
+    "learning_rate": ("--lr", {"help": "peak learning rate"}, _POS_NUM),
+    "lr_schedule": ("--lr-schedule", {}, {"enum": ["constant", "cosine"]}),
+    "theorem": ("--theorem", {}, {"enum": sorted(THEOREM_FAMILIES)}),
+    "M": ("--M", {"help": "target width parameter"}, {"type": "integer", "minimum": 2}),
+    # four of meta's constants share a flag name with a kernel field
+    **{f"params.{name}": (f"--{name}", {}, schema) for name, schema in _PARAMS.items()},
+}
+
+_COMMON = ("seed", "output_dir", "threads", "plots")
+_KERNEL = ("kernel.family", "kernel.sigma", "kernel.beta", "kernel.r", "kernel.dim")
+_TRAINING = ("n_samples", "widths", "epochs", "batch_size", "learning_rate", "lr_schedule")
+
+# command -> (help text, config keys besides _COMMON)
+_COMMANDS = {
+    "rates": ("power-function decay across grid sizes", _KERNEL + ("m_list", "eval_resolution")),
+    "eigen": ("smallest eigenvalue vs spectral lower bound", _KERNEL + ("m_list",)),
+    "project": (
+        "projection error vs certified bound",
+        _KERNEL + ("m", "n_samples", "n_centers", "eval_resolution"),
+    ),
+    "train": (
+        "train one network on sampled functional values",
+        _KERNEL + ("functional", "weight", "link", "m") + _TRAINING,
+    ),
+    "flm": (
+        "regression-map study across grid sizes",
+        _KERNEL + ("weight", "link", "m_list") + _TRAINING,
+    ),
+    "meta": (
+        "width schedule and bound shape for one theorem",
+        ("theorem", "M") + tuple(f"params.{name}" for name in _PARAMS),
+    ),
+}
+
+
+def _command_schema(keys: tuple) -> dict:
+    """Strict JSON schema of one command's config: unknown keys are errors."""
+    props: dict = {}
+    for key in _COMMON + keys:
+        outer, _, name = key.rpartition(".")
+        where = props
+        if outer:
+            nested = {"type": "object", "additionalProperties": False, "properties": {}}
+            where = props.setdefault(outer, nested)["properties"]
+        where[name] = _OPTIONS[key][2]
+    if "kernel" in props:
+        props["kernel"]["required"] = ["family"]
+    return {"type": "object", "additionalProperties": False, "properties": props}
+
+
+_COMMAND_SCHEMAS = {command: _command_schema(keys) for command, (_, keys) in _COMMANDS.items()}
+# eigen's --d sets both kernel.dim and this top-level d (see _merge_config)
+_COMMAND_SCHEMAS["eigen"]["properties"]["d"] = _POS_INT
+_COMMAND_SCHEMAS["rates"]["properties"]["m_list"] = {**_M_LIST, "minItems": 4}
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
     cfg: dict = {}
-    if args.config is not None:
+    if hasattr(args, "config"):
         path = Path(args.config)
         if not path.is_file():
             raise ConfigError(f"config file not found: {path}")
@@ -219,46 +209,20 @@ def _merge_config(args: argparse.Namespace) -> dict:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
         if not isinstance(cfg, dict):
             raise ConfigError("config file must hold a JSON object")
-    if args.command == "meta":
-        params = dict(cfg.get("params") or {})
-        for name in _META_PARAM_FLAGS:
-            val = getattr(args, name, None)
-            if val is not None:
-                params[name] = val
-        if params:
-            cfg["params"] = params
-    else:
-        kcfg = dict(cfg.get("kernel") or {})
-        if getattr(args, "kernel", None) is not None:
-            kcfg["family"] = args.kernel
-        for name in _KERNEL_FLAGS:
-            val = getattr(args, name, None)
-            if val is not None:
-                kcfg[name] = val
-        if getattr(args, "d", None) is not None:
-            kcfg["dim"] = args.d
-        if kcfg:
-            cfg["kernel"] = kcfg
-        if args.command == "eigen" and getattr(args, "d", None) is not None:
-            cfg["d"] = args.d
-    for flag, key in _SCALAR_FLAGS.items():
-        val = getattr(args, flag, None)
-        if val is not None:
-            cfg[key] = val
-    if getattr(args, "m_list", None) is not None:
-        cfg["m_list"] = _parse_int_list(args.m_list, "--m-list")
-    if getattr(args, "widths", None) is not None:
-        widths = _parse_int_list(args.widths, "--widths")
-        if len(widths) != 2:
-            raise ConfigError(f"--widths expects two integers, got {args.widths!r}")
-        cfg["widths"] = widths
-    if getattr(args, "plots", False):
-        cfg["plots"] = True
-    if getattr(args, "functional", None) is not None:
-        try:
-            cfg["functional"] = json.loads(args.functional)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"--functional is not valid JSON: {exc}") from None
+    # a flag left off the command line is absent from args (SUPPRESS default)
+    for key in _COMMON + _COMMANDS[args.command][1]:
+        if not hasattr(args, key):
+            continue
+        outer, _, name = key.rpartition(".")
+        where = cfg
+        if outer:
+            nested = cfg.get(outer) or {}
+            if not isinstance(nested, dict):
+                raise ConfigError(f"invalid {args.command} config at {outer}: not an object")
+            where = cfg[outer] = dict(nested)
+        where[name] = getattr(args, key)
+    if args.command == "eigen" and hasattr(args, "kernel.dim"):
+        cfg["d"] = cfg["kernel"]["dim"]
     return cfg
 
 
@@ -283,10 +247,7 @@ def _kernel_from(cfg: dict) -> Kernel:
 
 
 def _train_config(cfg: dict) -> TrainConfig:
-    kwargs = {}
-    for key in ("epochs", "batch_size", "learning_rate", "seed", "lr_schedule"):
-        if key in cfg:
-            kwargs[key] = cfg[key]
+    kwargs = {f.name: cfg[f.name] for f in dataclasses.fields(TrainConfig) if f.name in cfg}
     if "widths" in cfg:
         kwargs["widths"] = tuple(int(w) for w in cfg["widths"])
     return TrainConfig(**kwargs)
@@ -428,14 +389,10 @@ def _cmd_project(cfg: dict):
     else:
         eval_set = default_power_eval_set(grid)
     psup = power_function_sup(system, eval_set)
-    rng = np.random.default_rng(seed)
     label = kernel_label(kernel)
     rows = []
     max_ratio = 0.0
-    for i in range(n_samples):
-        child = int(rng.integers(0, 2**63 - 1))
-        target = float(rng.uniform(0.2, 1.0))
-        f = sample_unit_ball(kernel, n_centers, target, child)
+    for i, f in enumerate(_unit_ball_draws(kernel, n_samples, seed, n_centers)):
         pf = project(system, f.eval_at(grid.points))
         err = sup_error(f, pf, eval_set)
         norm = rkhs_norm(f)
@@ -545,89 +502,22 @@ _HANDLERS = {
 }
 
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--config", help="JSON config file; flags override its values")
-    sp.add_argument("--out", help="output directory (default $RFL_OUT_DIR/<command>)")
-    sp.add_argument("--seed", type=int, help="master seed")
-    sp.add_argument(
-        "--threads",
-        type=int,
-        help="worker threads for per-grid-size studies (default 1 for reproducibility)",
-    )
-    sp.add_argument("--plots", action="store_true", help="also write SVG plots")
-
-
-def _add_kernel(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--kernel", choices=sorted(FAMILIES), help="kernel family")
-    sp.add_argument("--sigma", type=float, help="kernel length-scale")
-    sp.add_argument("--beta", type=float, help="inverse multiquadric exponent")
-    sp.add_argument("--r", type=float, help="sobolev smoothness order")
-    sp.add_argument("--d", type=int, help="input dimension")
-
-
-def _add_train_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--widths", help="two comma separated hidden widths, e.g. 64,64")
-    sp.add_argument("--epochs", type=int)
-    sp.add_argument("--batch-size", dest="batch_size", type=int)
-    sp.add_argument("--lr", type=float, help="peak learning rate")
-    sp.add_argument("--lr-schedule", dest="lr_schedule", choices=["constant", "cosine"])
-    sp.add_argument("--n-samples", dest="n_samples", type=int)
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rfl",
         description="Studies of kernel interpolation and network training on node values.",
     )
     sub = parser.add_subparsers(dest="command")
-
-    rates = sub.add_parser("rates", help="power-function decay across grid sizes")
-    _add_common(rates)
-    _add_kernel(rates)
-    rates.add_argument("--m-list", dest="m_list", help="comma separated grid sizes")
-    rates.add_argument("--eval-resolution", dest="eval_resolution", type=int)
-
-    eigen = sub.add_parser("eigen", help="smallest eigenvalue vs spectral lower bound")
-    _add_common(eigen)
-    _add_kernel(eigen)
-    eigen.add_argument("--m-list", dest="m_list", help="comma separated grid sizes")
-
-    proj = sub.add_parser("project", help="projection error vs certified bound")
-    _add_common(proj)
-    _add_kernel(proj)
-    proj.add_argument("--m", type=int, help="grid size")
-    proj.add_argument("--n-samples", dest="n_samples", type=int)
-    proj.add_argument("--n-centers", dest="n_centers", type=int)
-    proj.add_argument("--eval-resolution", dest="eval_resolution", type=int)
-
-    tr = sub.add_parser("train", help="train one network on sampled functional values")
-    _add_common(tr)
-    _add_kernel(tr)
-    tr.add_argument("--m", type=int, help="grid size")
-    tr.add_argument("--functional", help="functional config as inline JSON")
-    tr.add_argument("--weight", choices=sorted(BETAS), help="integral weight name")
-    tr.add_argument("--link", choices=sorted(LINKS), help="link function name")
-    _add_train_flags(tr)
-
-    flm = sub.add_parser("flm", help="regression-map study across grid sizes")
-    _add_common(flm)
-    _add_kernel(flm)
-    flm.add_argument("--m-list", dest="m_list", help="comma separated grid sizes")
-    flm.add_argument("--weight", choices=sorted(BETAS), help="integral weight name")
-    flm.add_argument("--link", choices=sorted(LINKS), help="link function name")
-    _add_train_flags(flm)
-
-    meta = sub.add_parser("meta", help="width schedule and bound shape for one theorem")
-    _add_common(meta)
-    meta.add_argument("--theorem", choices=sorted(THEOREM_FAMILIES))
-    meta.add_argument("--M", type=int, help="target width parameter")
-    meta.add_argument("--r", type=float)
-    meta.add_argument("--s", type=float)
-    meta.add_argument("--d", type=int)
-    meta.add_argument("--sigma", type=float)
-    meta.add_argument("--beta", type=float)
-    meta.add_argument("--c", type=float)
-
+    for command, (help_text, keys) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=help_text, argument_default=argparse.SUPPRESS)
+        sp.add_argument("--config", help="JSON config file; flags override its values")
+        for key in _COMMON + keys:
+            flag, kwargs, schema = _OPTIONS[key]
+            if schema.get("type") in _ARG_TYPES:
+                kwargs = {"type": _ARG_TYPES[schema["type"]], **kwargs}
+            if "enum" in schema:
+                kwargs = {"choices": schema["enum"], **kwargs}
+            sp.add_argument(flag, dest=key, **kwargs)
     return parser
 
 

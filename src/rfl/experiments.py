@@ -92,6 +92,22 @@ class Dataset:
         return "\n".join(lines) + "\n"
 
 
+def _unit_ball_draws(kernel: Kernel, n_samples: int, seed: int, n_centers: int):
+    """Yield ``n_samples`` unit-ball functions drawn from one master seed.
+
+    Each draw takes a child seed, then a norm target uniform on
+    ``_NORM_TARGET_RANGE``, from the master generator, so the sequence of
+    functions is a pure function of ``seed``.
+    """
+    if seed < 0:
+        raise ArgumentError(f"seed must be a non-negative integer, got {seed!r}")
+    rng = np.random.default_rng(seed)
+    for _ in range(n_samples):
+        child = int(rng.integers(0, 2**63 - 1))
+        target_norm = float(rng.uniform(*_NORM_TARGET_RANGE))
+        yield sample_unit_ball(kernel, n_centers, target_norm, child)
+
+
 def generate_dataset(
     kernel: Kernel,
     functional: TargetFunctional,
@@ -112,14 +128,10 @@ def generate_dataset(
     if not (0.0 <= holdout_fraction < 1.0):
         raise ArgumentError(f"holdout_fraction must lie in [0, 1), got {holdout_fraction!r}")
     grid = uniform_grid(int(m), kernel.dim)
-    rng = np.random.default_rng(seed)
     functions: list[RkhsFunction] = []
     inputs = np.empty((int(n_samples), len(grid)))
     targets = np.empty(int(n_samples))
-    for i in range(int(n_samples)):
-        child = int(rng.integers(0, 2**63 - 1))
-        target_norm = float(rng.uniform(*_NORM_TARGET_RANGE))
-        f = sample_unit_ball(kernel, n_centers, target_norm, child)
+    for i, f in enumerate(_unit_ball_draws(kernel, int(n_samples), seed, n_centers)):
         functions.append(f)
         inputs[i] = f.eval_at(grid.points)
         targets[i] = functional.value(f)

@@ -69,6 +69,9 @@ class Kernel:
             raise ArgumentError(f"unknown kernel family {self.family!r}")
         if not (isinstance(self.dim, (int, np.integer)) and self.dim >= 1):
             raise ArgumentError(f"dim must be a positive integer, got {self.dim!r}")
+        for name in ("sigma", "beta", "r"):
+            if not math.isfinite(getattr(self, name)):
+                raise ArgumentError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not (self.sigma > 0):
             raise ArgumentError(f"sigma must be positive, got {self.sigma!r}")
         if self.family == INVERSE_MULTIQUADRIC and not (self.beta > 0):

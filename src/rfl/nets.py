@@ -177,8 +177,8 @@ def gradient(net: TanhNetwork, X, y) -> list[np.ndarray]:
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if X.shape[0] == 0:
         raise ArgumentError("gradient needs a nonempty batch")
-    if X.shape[0] != y.shape[0]:
-        raise ArgumentError("batch inputs and targets disagree in length")
+    if y.shape != (X.shape[0],):
+        raise ArgumentError(f"expected targets of shape ({X.shape[0]},), got {y.shape}")
     n = X.shape[0]
     H1 = np.tanh(X @ net.W1.T - net.b1)
     H2 = np.tanh(H1 @ net.W2.T - net.b2)
@@ -196,7 +196,12 @@ def gradient(net: TanhNetwork, X, y) -> list[np.ndarray]:
 
 def loss_mse(net: TanhNetwork, X, y) -> float:
     """Plain mean squared error of the network on a batch."""
-    resid = forward_batch(net, X) - np.asarray(y, dtype=float)
+    pred = forward_batch(net, X)
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    # a column of targets would broadcast against pred into an (n, n) residual
+    if y.shape != pred.shape:
+        raise ArgumentError(f"expected targets of shape {pred.shape}, got {y.shape}")
+    resid = pred - y
     return float(np.mean(resid * resid))
 
 
@@ -221,6 +226,8 @@ class TrainConfig:
     lr_schedule: str = "cosine"
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ArgumentError(f"seed must be >= 0, got {self.seed!r}")
         if self.epochs < 0:
             raise ArgumentError(f"epochs must be >= 0, got {self.epochs!r}")
         if self.batch_size < 1:

@@ -1,8 +1,8 @@
 """Smallest Gram eigenvalues, the spectral lower bound, and growth constants.
 
 The eigensolver is a deterministic cyclic-by-rows Jacobi iteration written
-against plain numpy arrays; an independent inverse-power iteration provides
-a cross-check on the resulting operator norm.  When the smallest eigenvalue
+against plain numpy arrays; the residual of the returned eigenpair is
+checked before its value is used.  When the smallest eigenvalue
 of a flat-kernel Gram matrix falls below what double precision can resolve
 (the rounded matrix itself is typically indefinite there), the value is
 rebuilt from exact node coordinates in extended precision.
@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from . import _exact
 from .errors import ArgumentError, DivergenceError, ResourceLimitError, SingularGramError
@@ -139,31 +138,6 @@ def smallest_eigenvalue(gram) -> float:
             f"Jacobi eigenpair residual {residual:.3e} exceeds {_RESIDUAL_TOL * fro:.3e}"
         )
     return lam
-
-
-def inverse_operator_norm(gram, max_iter: int = 500, rtol: float = 1e-12) -> float:
-    """Operator norm of the Gram inverse by inverse power iteration.
-
-    Deliberately shares no code with the Jacobi path: the matrix is LU
-    factorized and the dominant eigenvalue of the inverse is grown from a
-    fixed starting vector.  Meaningful only when the smallest eigenvalue is
-    well above the double-precision noise floor.
-    """
-    A = np.asarray(gram, dtype=float)
-    n = A.shape[0]
-    lu = lu_factor(A)
-    v = np.ones(n) / math.sqrt(n)
-    prev = 0.0
-    for _ in range(max_iter):
-        w = lu_solve(lu, v)
-        mu = float(np.linalg.norm(w))
-        if mu == 0.0:
-            raise DivergenceError("inverse power iteration collapsed to zero")
-        v = w / mu
-        if abs(mu - prev) <= rtol * mu:
-            return mu
-        prev = mu
-    return prev
 
 
 def _double_noise_floor(gram: np.ndarray) -> float:

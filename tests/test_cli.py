@@ -135,6 +135,9 @@ def test_config_file_errors(tmp_path):
     arr = tmp_path / "arr.json"
     arr.write_text("[1, 2]")
     assert run(["rates", "--config", str(arr)]) == 2
+    no_family = tmp_path / "no_family.json"
+    no_family.write_text(json.dumps({"kernel": {"sigma": 1.0}, "m_list": [2, 4, 6, 8]}))
+    assert run(["rates", "--config", str(no_family)]) == 2
 
 
 def test_schema_rejections(tmp_path):
@@ -316,3 +319,207 @@ def test_finite_report_has_no_non_finite_key(tmp_path):
     assert run(["rates", *GAUSS_FLAGS, "--m-list", "2,4,6,8", "--out", str(out)]) == 0
     report = json.loads(read(out / "report.json"), parse_constant=_reject_constant)
     assert "non_finite" not in report
+
+
+# -- flag parsing, config merging and validation, without numerics ----------
+
+KERNEL_ALL = ["--kernel", "inverse_multiquadric", "--sigma", "0.5", "--beta", "2", "--r", "1.5", "--d", "2"]
+KERNEL_ALL_CFG = {"family": "inverse_multiquadric", "sigma": 0.5, "beta": 2.0, "r": 1.5, "dim": 2}
+COMMON_ALL = ["--out", "{tmp}/o", "--seed", "7", "--threads", "2", "--plots"]
+COMMON_ALL_CFG = {"output_dir": "{tmp}/o", "seed": 7, "threads": 2, "plots": True}
+TRAIN_ALL = ["--widths", "8,6", "--epochs", "3", "--batch-size", "5", "--lr", "0.01",
+             "--lr-schedule", "constant", "--n-samples", "30"]
+TRAIN_ALL_CFG = {"widths": [8, 6], "epochs": 3, "batch_size": 5, "learning_rate": 0.01,
+                 "lr_schedule": "constant", "n_samples": 30}
+
+# (argv, config file or None, expected report.json["config"]); "{cfg}" is the
+# config file's path and "{tmp}" the test's temporary directory
+MERGE_CASES = [
+    (
+        ["rates", *COMMON_ALL, *KERNEL_ALL, "--m-list", "2,4,,6,8", "--eval-resolution", "9"],
+        None,
+        {**COMMON_ALL_CFG, "kernel": KERNEL_ALL_CFG, "m_list": [2, 4, 6, 8], "eval_resolution": 9},
+    ),
+    (
+        ["rates", "--config", "{cfg}", "--sigma", "3", "--m-list", "1,2,3,4,5"],
+        {"kernel": {"family": "gaussian", "sigma": 1.0, "dim": 1}, "m_list": [2, 4, 6, 8], "seed": 3},
+        {"kernel": {"family": "gaussian", "sigma": 3.0, "dim": 1}, "m_list": [1, 2, 3, 4, 5], "seed": 3},
+    ),
+    (
+        ["eigen", *COMMON_ALL, *KERNEL_ALL, "--m-list", "1,2"],
+        None,
+        {**COMMON_ALL_CFG, "kernel": KERNEL_ALL_CFG, "m_list": [1, 2], "d": 2},
+    ),
+    (
+        ["eigen", "--config", "{cfg}"],
+        {"kernel": {"family": "gaussian", "dim": 2}, "m_list": [1, 2], "d": 2},
+        {"kernel": {"family": "gaussian", "dim": 2}, "m_list": [1, 2], "d": 2},
+    ),
+    (
+        ["eigen", "--config", "{cfg}", "--d", "1", "--kernel", "sobolev", "--r", "1"],
+        {"kernel": {"family": "gaussian", "sigma": 2.0, "dim": 2}, "m_list": [1, 2], "d": 2},
+        {"kernel": {"family": "sobolev", "sigma": 2.0, "dim": 1, "r": 1.0}, "m_list": [1, 2], "d": 1},
+    ),
+    (
+        ["project", *COMMON_ALL, *KERNEL_ALL, "--m", "3", "--n-samples", "4", "--n-centers", "5",
+         "--eval-resolution", "6"],
+        None,
+        {**COMMON_ALL_CFG, "kernel": KERNEL_ALL_CFG, "m": 3, "n_samples": 4, "n_centers": 5,
+         "eval_resolution": 6},
+    ),
+    (
+        ["project", "--config", "{cfg}", "--seed", "0", "--out", "{tmp}/flag"],
+        {"kernel": {"family": "gaussian"}, "m": 2, "seed": 9, "output_dir": "{tmp}/file",
+         "plots": False},
+        {"kernel": {"family": "gaussian"}, "m": 2, "seed": 0, "output_dir": "{tmp}/flag",
+         "plots": False},
+    ),
+    (
+        ["train", *COMMON_ALL, *KERNEL_ALL, *TRAIN_ALL, "--m", "2", "--weight", "one",
+         "--link", "identity", "--functional", '{"kind": "l2_energy"}'],
+        None,
+        {**COMMON_ALL_CFG, **TRAIN_ALL_CFG, "kernel": KERNEL_ALL_CFG, "m": 2, "weight": "one",
+         "link": "identity", "functional": {"kind": "l2_energy"}},
+    ),
+    (
+        ["train", "--config", "{cfg}", "--functional", '{"kind": "gflm", "beta": "sin2pi"}',
+         "--epochs", "9"],
+        {"kernel": {"family": "gaussian"}, "m": 2, "functional": {"kind": "l2_energy"},
+         "epochs": 1, "widths": [4, 4]},
+        {"kernel": {"family": "gaussian"}, "m": 2, "functional": {"kind": "gflm", "beta": "sin2pi"},
+         "epochs": 9, "widths": [4, 4]},
+    ),
+    (
+        ["flm", *COMMON_ALL, *KERNEL_ALL, *TRAIN_ALL, "--m-list", "1,2", "--weight", "one",
+         "--link", "identity"],
+        None,
+        {**COMMON_ALL_CFG, **TRAIN_ALL_CFG, "kernel": KERNEL_ALL_CFG, "m_list": [1, 2],
+         "weight": "one", "link": "identity"},
+    ),
+    (
+        ["flm", "--config", "{cfg}", "--lr", "0.5", "--widths", "2,3"],
+        {"kernel": {"family": "gaussian"}, "m_list": [1], "learning_rate": 0.1, "widths": [4, 4]},
+        {"kernel": {"family": "gaussian"}, "m_list": [1], "learning_rate": 0.5, "widths": [2, 3]},
+    ),
+    (
+        ["meta", *COMMON_ALL, "--theorem", "gaussian", "--M", "64", "--r", "2.5", "--s", "0.5",
+         "--d", "3", "--sigma", "0.25", "--beta", "1.5", "--c", "2"],
+        None,
+        {**COMMON_ALL_CFG, "theorem": "gaussian", "M": 64,
+         "params": {"r": 2.5, "s": 0.5, "d": 3, "sigma": 0.25, "beta": 1.5, "c": 2.0}},
+    ),
+    (
+        ["meta", "--config", "{cfg}", "--r", "3", "--M", "32"],
+        {"theorem": "sobolev", "M": 64, "params": {"r": 2.0, "s": 0.5}},
+        {"theorem": "sobolev", "M": 32, "params": {"r": 3.0, "s": 0.5}},
+    ),
+]
+
+
+def _fill(value, tmp: Path):
+    """Replace the ``{tmp}`` and ``{cfg}`` placeholders inside a case."""
+    if isinstance(value, str):
+        return value.replace("{tmp}", str(tmp)).replace("{cfg}", str(tmp / "cfg.json"))
+    if isinstance(value, list):
+        return [_fill(v, tmp) for v in value]
+    if isinstance(value, dict):
+        return {k: _fill(v, tmp) for k, v in value.items()}
+    return value
+
+
+def _echo_run(argv, tmp_path, monkeypatch) -> int:
+    """Run the CLI with every handler replaced by one that echoes its config."""
+    monkeypatch.setenv("RFL_OUT_DIR", str(tmp_path / "env"))
+    for command in list(rfl.cli._HANDLERS):
+        monkeypatch.setitem(rfl.cli._HANDLERS, command, lambda cfg: ({"config": cfg}, {}, {}))
+    return run(argv)
+
+
+@pytest.mark.parametrize(
+    "argv, file_cfg, expected",
+    MERGE_CASES,
+    ids=[f"{argv[0]}-{i}" for i, (argv, _, _) in enumerate(MERGE_CASES)],
+)
+def test_flags_and_config_file_merge_into_the_echoed_config(
+    argv, file_cfg, expected, tmp_path, monkeypatch
+):
+    if file_cfg is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(_fill(file_cfg, tmp_path)))
+    expected = _fill(expected, tmp_path)
+    assert _echo_run(_fill(argv, tmp_path), tmp_path, monkeypatch) == 0
+    out = Path(expected.get("output_dir") or tmp_path / "env" / argv[0])
+    config = json.loads(read(out / "report.json"))["config"]
+    # compared as canonical JSON text, so 1 and 1.0 differ
+    assert json.dumps(config, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+
+REJECTED_ARGVS = [
+    ["rates", *GAUSS_FLAGS, "--m-list", "2,x,6,8"],
+    ["rates", *GAUSS_FLAGS, "--m-list", "2,4,6,0"],
+    ["rates", "--kernel", "laplace", "--m-list", "2,4,6,8"],
+    ["rates", *GAUSS_FLAGS, "--m-list", "2,4,6,8", "--eval-resolution", "0"],
+    ["rates", *GAUSS_FLAGS, "--m-list", "2,4,6,8", "--threads", "0"],
+    ["rates", *GAUSS_FLAGS, "--m-list", "2,4,6,8", "--theorem", "gaussian"],
+    ["eigen", "--kernel", "gaussian", "--d", "0", "--m-list", "1,2"],
+    ["eigen", "--kernel", "gaussian", "--beta", "0", "--m-list", "1,2"],
+    ["project", *GAUSS_FLAGS, "--m", "0"],
+    ["project", *GAUSS_FLAGS, "--m", "2", "--n-centers", "1.5"],
+    ["train", *GAUSS_FLAGS, "--m", "2", "--widths", "4,x"],
+    ["train", *GAUSS_FLAGS, "--m", "2", "--widths", "4,4,4"],
+    ["train", *GAUSS_FLAGS, "--m", "2", "--functional", "{not json"],
+    ["train", *GAUSS_FLAGS, "--m", "2", "--functional", '{"kind": "nope"}'],
+    ["train", *GAUSS_FLAGS, "--m", "2", "--lr", "0"],
+    ["flm", *GAUSS_FLAGS, "--m-list", "1,2", "--lr-schedule", "linear"],
+    ["flm", *GAUSS_FLAGS, "--m-list", "1,2", "--weight", "cos"],
+    ["flm", *GAUSS_FLAGS, "--m-list", "1,2", "--batch-size", "0"],
+    ["meta", "--theorem", "sobolev", "--M", "1"],
+    ["meta", "--theorem", "sobolev", "--M", "64", "--s", "0"],
+    ["meta", "--theorem", "sobolev", "--M", "64", "--kernel", "gaussian"],
+]
+
+
+@pytest.mark.parametrize("argv", REJECTED_ARGVS, ids=" ".join)
+def test_rejected_flags_exit_2(argv, tmp_path, monkeypatch):
+    assert _echo_run(argv, tmp_path, monkeypatch) == 2
+
+
+@pytest.mark.parametrize("command", sorted(rfl.cli._HANDLERS))
+def test_subcommand_help_exits_0(command, capsys):
+    assert run([command, "--help"]) == 0
+    assert f"usage: rfl {command}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["project", *GAUSS_FLAGS, "--m", "3"],
+        ["train", *GAUSS_FLAGS, "--m", "2", "--epochs", "1", "--widths", "4,4"],
+        ["flm", *GAUSS_FLAGS, "--m-list", "1,2", "--epochs", "1", "--widths", "4,4"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_negative_seed_exits_2(argv, tmp_path):
+    assert run([*argv, "--seed", "-1", "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, file_cfg",
+    [
+        (["rates", "--kernel", "gaussian", "--sigma", "inf", "--m-list", "2,4,6,8"], None),
+        (["rates", "--kernel", "sobolev", "--r", "nan", "--m-list", "2,4,6,8"], None),
+        # Python's json reads the non-standard Infinity literal
+        (["rates", "--config", "{cfg}"],
+         '{"kernel": {"family": "sobolev", "r": Infinity}, "m_list": [2, 4, 6, 8]}'),
+    ],
+    ids=["sigma-inf", "r-nan", "config-r-Infinity"],
+)
+def test_non_finite_kernel_parameter_exits_2(argv, file_cfg, tmp_path):
+    if file_cfg is not None:
+        (tmp_path / "cfg.json").write_text(file_cfg)
+    assert run([*_fill(argv, tmp_path), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_flag_into_a_config_value_that_is_not_an_object_exits_2(tmp_path, monkeypatch):
+    (tmp_path / "cfg.json").write_text(json.dumps({"kernel": 5, "m_list": [2, 4, 6, 8]}))
+    argv = ["rates", "--config", str(tmp_path / "cfg.json"), "--sigma", "1"]
+    assert _echo_run(argv, tmp_path, monkeypatch) == 2

@@ -74,6 +74,8 @@ def test_generate_dataset_validation():
         generate_dataset(GAUSS, ENERGY, m=2, n_samples=0, seed=0)
     with pytest.raises(ArgumentError):
         generate_dataset(GAUSS, ENERGY, m=2, n_samples=10, seed=0, holdout_fraction=1.0)
+    with pytest.raises(ArgumentError):
+        generate_dataset(GAUSS, ENERGY, m=2, n_samples=10, seed=-1)
 
 
 def test_dataset_csv():

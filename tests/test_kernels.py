@@ -164,6 +164,21 @@ def test_kernel_validation():
     assert Kernel("sobolev", r=2.0, dim=1).r == 2.0
 
 
+@pytest.mark.parametrize(
+    "family, field, value",
+    [
+        ("gaussian", "sigma", math.inf),
+        ("inverse_multiquadric", "beta", math.inf),
+        ("sobolev", "r", math.nan),
+        ("sobolev", "r", math.inf),
+    ],
+)
+def test_kernel_rejects_non_finite_parameters(family, field, value):
+    # sigma=inf made the gaussian constant; r=nan or inf crashed inside scipy
+    with pytest.raises(ArgumentError, match=field):
+        Kernel(family, dim=1, **{field: value})
+
+
 def test_sobolev_eval_needs_dim_one():
     k = Kernel("sobolev", r=2.2, dim=2)
     with pytest.raises(UnsupportedConfigurationError):

@@ -166,6 +166,31 @@ def test_loss_mse():
     assert loss_mse(net, X, y) == pytest.approx(4.0, rel=1e-12)
 
 
+def _four_rows():
+    X = np.random.default_rng(3).uniform(-1.0, 1.0, (4, 3))
+    return init(3, (4, 4), seed=0), X, np.array([0.5, -1.0, 2.0, 1.5])
+
+
+def test_loss_mse_rejects_column_targets():
+    # an (n, 1) column broadcast against the (n,) outputs into an (n, n) residual
+    net, X, y = _four_rows()
+    with pytest.raises(ArgumentError):
+        loss_mse(net, X, y[:, None])
+
+
+def test_gradient_rejects_column_targets():
+    # a column of targets gave gradients of the wrong shapes, e.g. (4, 4, 3) for W1
+    net, X, y = _four_rows()
+    with pytest.raises(ArgumentError):
+        gradient(net, X, y[:, None])
+
+
+def test_loss_mse_rejects_target_length_mismatch():
+    net, X, y = _four_rows()
+    with pytest.raises(ArgumentError):
+        loss_mse(net, X, y[:3])
+
+
 def tiny_dataset(n=256, seed=0):
     rng = np.random.default_rng(seed)
     x = rng.uniform(-1, 1, (n, 1))
@@ -266,6 +291,7 @@ def test_train_config_validation():
         ("adam_eps", -1.0),
         ("adam_eps", 0.0),
         ("adam_eps", math.inf),
+        ("seed", -1),
     ],
 )
 def test_train_config_rejects_optimizer_settings(field, value):

@@ -25,7 +25,6 @@ from rfl import (
     fill_distance,
     halton_points,
     holder_constant_G,
-    inverse_operator_norm,
     lambda_min_accurate,
     smallest_eigenvalue,
     uniform_grid,
@@ -68,17 +67,6 @@ def test_smallest_eigenvalue_validation():
     with pytest.raises(ResourceLimitError):
         smallest_eigenvalue(np.eye(513))
     assert smallest_eigenvalue(np.eye(16)) == pytest.approx(1.0, rel=1e-14)
-
-
-def test_inverse_operator_norm_matches_eigensolver():
-    rng = np.random.default_rng(7)
-    for n in (3, 8, 20):
-        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        eigs = rng.uniform(0.05, 5.0, n)
-        A = (Q * eigs) @ Q.T
-        A = 0.5 * (A + A.T)
-        got = inverse_operator_norm(A)
-        assert got == pytest.approx(1.0 / float(np.linalg.eigvalsh(A).min()), rel=1e-6)
 
 
 def test_lambda_min_accurate_small_grid_uses_jacobi():
