@@ -35,7 +35,7 @@ def main() -> None:
     config = TrainConfig(epochs=200, widths=(32, 32), seed=7)
 
     dataset = generate_dataset(kernel, functional, m, n_samples=600, seed=7)
-    result = error_decomposition(kernel, functional, m, 600, config, dataset=dataset)
+    result = error_decomposition(dataset, config)
 
     heldout_y = dataset.targets[dataset.n_train :]
     baseline = float(np.abs(heldout_y - dataset.targets[: dataset.n_train].mean()).mean())

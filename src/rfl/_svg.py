@@ -1,7 +1,8 @@
 """Minimal deterministic SVG line charts for study outputs.
 
-No plotting dependency: charts are simple polylines with tick labels,
-emitted as text so identical inputs produce identical files.
+No plotting dependency: charts are simple polylines on a log10 y axis
+with tick labels, emitted as text so identical inputs produce identical
+files.
 """
 
 from __future__ import annotations
@@ -33,15 +34,18 @@ def line_plot_svg(
     title: str,
     xlabel: str,
     ylabel: str,
-    logy: bool = False,
 ) -> str:
-    """Render named (x, y) series as one SVG document string."""
-    points = []
-    for _, xs, ys in series:
-        for x, y in zip(xs, ys):
-            if logy and y <= 0:
-                continue
-            points.append((float(x), math.log10(float(y)) if logy else float(y)))
+    """Render named (x, y) series as one SVG document string.
+
+    The y axis is logarithmic: points with y <= 0 are left out, and the
+    y tick labels read ``1e<exponent>``.
+    """
+    # only y <= 0 is left out; a NaN y stays in the series
+    logged = [
+        (name, [(float(x), math.log10(float(y))) for x, y in zip(xs, ys) if not y <= 0])
+        for name, xs, ys in series
+    ]
+    points = [p for _, pts in logged for p in pts]
     if not points:
         points = [(0.0, 0.0), (1.0, 1.0)]
     x_lo = min(p[0] for p in points)
@@ -80,12 +84,11 @@ def line_plot_svg(
         )
     for t in _ticks(y_lo, y_hi):
         y = py(t)
-        label = f"1e{_fmt(t)}" if logy else _fmt(t)
         parts.append(
             f'<line x1="{_MARGIN_L - 5}" y1="{y:.1f}" x2="{_MARGIN_L}" y2="{y:.1f}" stroke="#333333"/>'
         )
         parts.append(
-            f'<text x="{_MARGIN_L - 8}" y="{y + 4:.1f}" text-anchor="end">{label}</text>'
+            f'<text x="{_MARGIN_L - 8}" y="{y + 4:.1f}" text-anchor="end">1e{_fmt(t)}</text>'
         )
     parts.append(
         f'<text x="{_MARGIN_L + plot_w / 2:.1f}" y="{_HEIGHT - 12}" '
@@ -95,14 +98,9 @@ def line_plot_svg(
         f'<text x="16" y="{_MARGIN_T + plot_h / 2:.1f}" text-anchor="middle" '
         f'transform="rotate(-90 16 {_MARGIN_T + plot_h / 2:.1f})">{ylabel}</text>'
     )
-    for idx, (name, xs, ys) in enumerate(series):
+    for idx, (name, pts) in enumerate(logged):
         color = _COLORS[idx % len(_COLORS)]
-        coords = []
-        for x, y in zip(xs, ys):
-            if logy and y <= 0:
-                continue
-            yy = math.log10(float(y)) if logy else float(y)
-            coords.append(f"{px(float(x)):.2f},{py(yy):.2f}")
+        coords = [f"{px(x):.2f},{py(y):.2f}" for x, y in pts]
         if not coords:
             continue
         parts.append(

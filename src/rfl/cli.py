@@ -2,7 +2,8 @@
 
 Subcommands: rates, eigen, project, train, flm, meta.  Each accepts an
 optional JSON config file (``--config``) validated against a strict
-schema that rejects unknown keys; individual flags override file values.
+schema that rejects unknown keys; individual flags, spelled in full (no
+prefix abbreviations), override file values.
 The flags, their merge into the config and the schemas all come from ``_OPTIONS``.
 Outputs land under ``--out``, or ``$RFL_OUT_DIR/<command>``, or
 ``./rfl_out/<command>``: a ``report.json`` echoing the merged config,
@@ -348,12 +349,8 @@ def _cmd_rates(cfg: dict):
     )
     payload = {"command": "rates", "config": cfg, "study": study.to_json()}
     tables = {"rates": study.table()}
-    plots = {}
-    if cfg.get("plots"):
-        series = [(kernel_label(kernel), [float(m) for m in study.m_list], study.sups)]
-        plots["rates"] = line_plot_svg(
-            series, "power function sup vs grid size", "m", "sup", logy=True
-        )
+    series = [(kernel_label(kernel), [float(m) for m in study.m_list], study.sups)]
+    plots = {"rates": (series, "power function sup vs grid size", "m", "sup")}
     return payload, tables, plots
 
 
@@ -363,16 +360,12 @@ def _cmd_eigen(cfg: dict):
     study = rate_study_eigen(kernel, m_list, cfg.get("d"), threads=int(cfg.get("threads", 1)))
     payload = {"command": "eigen", "config": cfg, "study": study.to_json()}
     tables = {"eigen": study.table()}
-    plots = {}
-    if cfg.get("plots"):
-        ms = [float(r.m) for r in study.reports]
-        series = [
-            ("lambda_min", ms, [r.lambda_min for r in study.reports]),
-            ("m_gamma", ms, [r.bound_m_gamma for r in study.reports]),
-        ]
-        plots["eigen"] = line_plot_svg(
-            series, "smallest eigenvalue vs lower bound", "m", "value", logy=True
-        )
+    ms = [float(r.m) for r in study.reports]
+    series = [
+        ("lambda_min", ms, [r.lambda_min for r in study.reports]),
+        ("m_gamma", ms, [r.bound_m_gamma for r in study.reports]),
+    ]
+    plots = {"eigen": (series, "smallest eigenvalue vs lower bound", "m", "value")}
     return payload, tables, plots
 
 
@@ -409,13 +402,9 @@ def _cmd_project(cfg: dict):
     }
     header = ["kernel", "m", "M", "seed", "sample", "norm", "sup_error", "bound", "ratio"]
     tables = {"project": (header, rows)}
-    plots = {}
-    if cfg.get("plots"):
-        xs = [float(r[4]) for r in rows]
-        series = [("sup_error", xs, [r[6] for r in rows]), ("bound", xs, [r[7] for r in rows])]
-        plots["project"] = line_plot_svg(
-            series, "projection error vs certified bound", "sample", "value", logy=True
-        )
+    xs = [float(r[4]) for r in rows]
+    series = [("sup_error", xs, [r[6] for r in rows]), ("bound", xs, [r[7] for r in rows])]
+    plots = {"project": (series, "projection error vs certified bound", "sample", "value")}
     return payload, tables, plots
 
 
@@ -440,16 +429,9 @@ def _cmd_train(cfg: dict):
         [label, m, "", config.seed, epoch, mse] for epoch, mse in enumerate(report.loss_curve)
     ]
     tables = {"loss_curve": (header, rows)}
-    plots = {}
-    if cfg.get("plots"):
-        xs = [float(e) for e in range(len(report.loss_curve))]
-        plots["loss_curve"] = line_plot_svg(
-            [("train_mse", xs, list(report.loss_curve))],
-            "training loss",
-            "epoch",
-            "mse",
-            logy=True,
-        )
+    xs = [float(e) for e in range(len(report.loss_curve))]
+    series = [("train_mse", xs, list(report.loss_curve))]
+    plots = {"loss_curve": (series, "training loss", "epoch", "mse")}
     return payload, tables, plots
 
 
@@ -467,17 +449,13 @@ def _cmd_flm(cfg: dict):
     )
     payload = {"command": "flm", "config": cfg, "experiment": experiment.to_json()}
     tables = {"flm": experiment.table()}
-    plots = {}
-    if cfg.get("plots"):
-        ms = [float(r.m) for r in experiment.rows]
-        series = [
-            ("heldout_sup", ms, [r.heldout_sup_error for r in experiment.rows]),
-            ("term_I", ms, [r.term_I for r in experiment.rows]),
-            ("term_II", ms, [r.term_II for r in experiment.rows]),
-        ]
-        plots["flm"] = line_plot_svg(
-            series, "regression map error vs grid size", "m", "error", logy=True
-        )
+    ms = [float(r.m) for r in experiment.rows]
+    series = [
+        ("heldout_sup", ms, [r.heldout_sup_error for r in experiment.rows]),
+        ("term_I", ms, [r.term_I for r in experiment.rows]),
+        ("term_II", ms, [r.term_II for r in experiment.rows]),
+    ]
+    plots = {"flm": (series, "regression map error vs grid size", "m", "error")}
     return payload, tables, plots
 
 
@@ -492,6 +470,8 @@ def _cmd_meta(cfg: dict):
     return payload, {}, {}
 
 
+# command -> handler(cfg) returning (payload, tables, plots); ``plots`` maps a
+# file name to the (series, title, xlabel, ylabel) arguments of line_plot_svg
 _HANDLERS = {
     "rates": _cmd_rates,
     "eigen": _cmd_eigen,
@@ -509,7 +489,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command")
     for command, (help_text, keys) in _COMMANDS.items():
-        sp = sub.add_parser(command, help=help_text, argument_default=argparse.SUPPRESS)
+        sp = sub.add_parser(
+            command, help=help_text, argument_default=argparse.SUPPRESS, allow_abbrev=False
+        )
         sp.add_argument("--config", help="JSON config file; flags override its values")
         for key in _COMMON + keys:
             flag, kwargs, schema = _OPTIONS[key]
@@ -535,8 +517,11 @@ def run(argv=None) -> int:
         cfg = _merge_config(args)
         _validate(cfg, args.command)
         payload, tables, plots = _HANDLERS[args.command](cfg)
+        if not cfg.get("plots"):
+            plots = {}
+        svgs = {name: line_plot_svg(*spec) for name, spec in plots.items()}
         outdir = _resolve_out(cfg, args.command)
-        write_outputs(outdir, payload, tables, plots)
+        write_outputs(outdir, payload, tables, svgs)
         print(outdir)
         return 0
     except (ConfigError, ArgumentError, UnsupportedConfigurationError, ResourceLimitError) as exc:

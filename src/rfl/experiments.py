@@ -1,9 +1,11 @@
 """Dataset generation, error decomposition, rate studies, trend experiments.
 
 Every study returns a small dataclass that serializes to a JSON report plus
-CSV tables.  Table rows carry a (kernel, m, M, seed) provenance tuple and
-all randomness flows from explicit seeds, so a rerun with the same config
-reproduces the output files byte for byte.
+CSV tables; the ``Report`` mixin derives the JSON form from the dataclass
+fields.  Table rows carry a (kernel, m, M, seed) provenance tuple and all
+randomness flows from explicit seeds, so a rerun with the same config
+reproduces the output files byte for byte.  :func:`error_decomposition`
+takes the kernel, functional and grid from the :class:`Dataset` it splits.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.stats import linregress
 
+from ._report import Report
 from .errors import ArgumentError, DivergenceError
 from .functionals import TargetFunctional
 from .geometry import PointSet, uniform_grid
@@ -151,7 +154,7 @@ def generate_dataset(
 
 
 @dataclass(frozen=True)
-class DecompositionResult:
+class DecompositionResult(Report):
     """Worst-case split of the total error into projection and network parts.
 
     term_I is the largest |F(f) - F(Pf)| over the samples, term_II the
@@ -168,36 +171,18 @@ class DecompositionResult:
     c_f: float
     power_sup: float
     train_report: TrainReport
-    system: GramSystem = field(repr=False, compare=False)
-
-    def to_json(self) -> dict:
-        return {
-            "term_I": self.term_I,
-            "term_II": self.term_II,
-            "total": self.total,
-            "c_f": self.c_f,
-            "power_sup": self.power_sup,
-            "train_report": self.train_report.to_json(),
-        }
+    system: GramSystem = field(repr=False, compare=False, metadata={"json": False})
 
 
-def error_decomposition(
-    kernel: Kernel,
-    functional: TargetFunctional,
-    m: int,
-    n_samples: int,
-    train_config: TrainConfig,
-    dataset: Dataset | None = None,
-) -> DecompositionResult:
-    """Train a network on sampled targets and split its worst-case error.
+def error_decomposition(dataset: Dataset, train_config: TrainConfig) -> DecompositionResult:
+    """Train a network on a dataset's targets and split its worst-case error.
 
-    The projection route F(Pf) is computed per sample through the Gram
-    system of the node grid; the network is trained fresh from the config.
-    Passing a prebuilt ``dataset`` skips resampling (it must match kernel,
-    functional and m).
+    The kernel, the functional and the node grid all come from ``dataset``
+    (see :func:`generate_dataset`).  The projection route F(Pf) is computed
+    per sample through the Gram system of the node grid; the network is
+    trained fresh from the config.
     """
-    if dataset is None:
-        dataset = generate_dataset(kernel, functional, m, n_samples, train_config.seed)
+    kernel, functional = dataset.kernel, dataset.functional
     system = build_gram(kernel, dataset.grid)
     projected = np.empty(len(dataset))
     for i in range(len(dataset)):
@@ -225,7 +210,7 @@ def error_decomposition(
 
 
 @dataclass(frozen=True)
-class PowerRateStudy:
+class PowerRateStudy(Report):
     """Power-function sups across grid sizes with the family's decay fit."""
 
     kernel: Kernel
@@ -239,21 +224,6 @@ class PowerRateStudy:
     ratios: list[float]
     ratios_strictly_decreasing: bool
     eval_resolution: int | None
-
-    def to_json(self) -> dict:
-        return {
-            "kernel": self.kernel.to_json(),
-            "m_list": list(self.m_list),
-            "sups": list(self.sups),
-            "fit_kind": self.fit_kind,
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "r_squared": self.r_squared,
-            "stderr": self.stderr,
-            "ratios": list(self.ratios),
-            "ratios_strictly_decreasing": self.ratios_strictly_decreasing,
-            "eval_resolution": self.eval_resolution,
-        }
 
     def table(self) -> tuple[list[str], list[list]]:
         header = ["kernel", "m", "M", "seed", "sup_power"]
@@ -328,19 +298,12 @@ def rate_study_power(
 
 
 @dataclass(frozen=True)
-class EigenRateStudy:
+class EigenRateStudy(Report):
     """Spectral lower-bound reports across grid sizes."""
 
     kernel: Kernel
     d: int
     reports: list[SpectralReport]
-
-    def to_json(self) -> dict:
-        return {
-            "kernel": self.kernel.to_json(),
-            "d": self.d,
-            "reports": [r.to_json() for r in self.reports],
-        }
 
     def table(self) -> tuple[list[str], list[list]]:
         header = ["kernel", "m", "d", "lambda_min", "m_gamma", "m_pow_d_gamma", "satisfied"]
@@ -373,7 +336,7 @@ def rate_study_eigen(
 
 
 @dataclass(frozen=True)
-class FlmRunRow:
+class FlmRunRow(Report):
     """Result of one grid size inside the regression-map experiment."""
 
     m: int
@@ -388,12 +351,15 @@ class FlmRunRow:
     c_g: float
     jitter_used: float
 
-    def to_json(self) -> dict:
-        return dict(self.__dict__)
+
+# FlmRunRow fields written as columns of the flm table
+_FLM_COLUMNS = (
+    "term_I", "term_II", "total", "heldout_sup_error", "heldout_mean_abs", "power_sup", "c_f", "c_g"
+)
 
 
 @dataclass(frozen=True)
-class FlmExperiment:
+class FlmExperiment(Report):
     """Regression-map training across grid sizes with trend flags."""
 
     kernel: Kernel
@@ -406,51 +372,12 @@ class FlmExperiment:
     sup_trend_nonincreasing: bool
     wall_time: float
 
-    def to_json(self) -> dict:
-        return {
-            "kernel": self.kernel.to_json(),
-            "weight": self.weight,
-            "link": self.link,
-            "m_list": list(self.m_list),
-            "n_samples": self.n_samples,
-            "train_config": self.train_config.to_json(),
-            "rows": [r.to_json() for r in self.rows],
-            "sup_trend_nonincreasing": self.sup_trend_nonincreasing,
-            "wall_time": self.wall_time,
-        }
-
     def table(self) -> tuple[list[str], list[list]]:
-        header = [
-            "kernel",
-            "m",
-            "M",
-            "seed",
-            "term_I",
-            "term_II",
-            "total",
-            "heldout_sup_error",
-            "heldout_mean_abs",
-            "power_sup",
-            "c_f",
-            "c_g",
-        ]
+        header = ["kernel", "m", "M", "seed", *_FLM_COLUMNS]
         label = kernel_label(self.kernel)
+        seed = self.train_config.seed
         rows = [
-            [
-                label,
-                r.m,
-                "",
-                self.train_config.seed,
-                r.term_I,
-                r.term_II,
-                r.total,
-                r.heldout_sup_error,
-                r.heldout_mean_abs,
-                r.power_sup,
-                r.c_f,
-                r.c_g,
-            ]
-            for r in self.rows
+            [label, r.m, "", seed, *(getattr(r, c) for c in _FLM_COLUMNS)] for r in self.rows
         ]
         return header, rows
 
@@ -479,9 +406,7 @@ def flm_experiment(
     rows: list[FlmRunRow] = []
     for m in m_list:
         dataset = generate_dataset(kernel, functional, int(m), int(n_samples), train_config.seed)
-        dec = error_decomposition(
-            kernel, functional, int(m), int(n_samples), train_config, dataset=dataset
-        )
+        dec = error_decomposition(dataset, train_config)
         system = dec.system
         c_g = holder_constant_G(system, functional.holder_exponent(), dec.c_f)
         rows.append(

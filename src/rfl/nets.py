@@ -26,6 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._report import Report
 from .errors import ArgumentError, DivergenceError
 
 DEFAULT_WIDTHS = (64, 64)
@@ -226,6 +227,11 @@ class TrainConfig:
     lr_schedule: str = "cosine"
 
     def __post_init__(self):
+        # a config file's 3.0 passes the schema's integer check
+        for name in ("epochs", "batch_size", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ArgumentError(f"{name} must be an integer, got {value!r}")
         if self.seed < 0:
             raise ArgumentError(f"seed must be >= 0, got {self.seed!r}")
         if self.epochs < 0:
@@ -248,6 +254,7 @@ class TrainConfig:
             )
 
     def to_json(self) -> dict:
+        # the casts turn a caller's numpy integers or a config file's 1 into JSON types
         return {
             "epochs": int(self.epochs),
             "batch_size": int(self.batch_size),
@@ -262,7 +269,7 @@ class TrainConfig:
 
 
 @dataclass(frozen=True)
-class TrainReport:
+class TrainReport(Report):
     """Outcome summary of one training run."""
 
     epochs: int
@@ -272,17 +279,6 @@ class TrainReport:
     param_count: int
     seed: int
     loss_curve: list[float] = field(default_factory=list)
-
-    def to_json(self) -> dict:
-        return {
-            "epochs": int(self.epochs),
-            "final_train_mse": self.final_train_mse,
-            "heldout_sup_error": self.heldout_sup_error,
-            "heldout_mean_abs": self.heldout_mean_abs,
-            "param_count": int(self.param_count),
-            "seed": int(self.seed),
-            "loss_curve": list(self.loss_curve),
-        }
 
 
 def _views(flat: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:

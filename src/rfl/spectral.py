@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _exact
+from ._report import Report
 from .errors import ArgumentError, DivergenceError, ResourceLimitError, SingularGramError
 from .geometry import PointSet, fill_distance, uniform_grid
 from .kernels import Kernel
@@ -30,7 +31,7 @@ _RESIDUAL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
-class SpectralReport:
+class SpectralReport(Report):
     """Smallest eigenvalue of a grid Gram matrix against its spectral bound.
 
     ``bound_m_gamma`` is m times the spectral-density corner minimum; the
@@ -51,21 +52,6 @@ class SpectralReport:
     bound_m_pow_d_satisfied: bool
     jitter_used: float
     method: str
-
-    def to_json(self) -> dict:
-        return {
-            "kernel": self.kernel.to_json(),
-            "m": self.m,
-            "d": self.d,
-            "lambda_min": self.lambda_min,
-            "inv_op_norm": self.inv_op_norm,
-            "bound_m_gamma": self.bound_m_gamma,
-            "bound_satisfied": self.bound_satisfied,
-            "bound_m_pow_d_gamma": self.bound_m_pow_d_gamma,
-            "bound_m_pow_d_satisfied": self.bound_m_pow_d_satisfied,
-            "jitter_used": self.jitter_used,
-            "method": self.method,
-        }
 
 
 def smallest_eigenvalue(gram) -> float:

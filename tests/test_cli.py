@@ -293,6 +293,135 @@ def test_meta_no_tables(tmp_path):
     assert not (out / "tables").exists()
 
 
+def _shape(value):
+    """JSON type skeleton of a payload: nested key sets and value types."""
+    if isinstance(value, dict):
+        return {k: _shape(v) for k, v in value.items()}
+    if isinstance(value, list):
+        shapes = [_shape(v) for v in value]
+        assert all(s == shapes[0] for s in shapes)
+        return shapes[:1]
+    return type(value).__name__
+
+
+_KERNEL_SHAPE = {"dim": "int", "family": "str", "sigma": "float"}
+_REPORT_SHAPES = [
+    (
+        ["rates", *GAUSS_FLAGS, "--m-list", "2,4,6,8"],
+        "study",
+        {
+            "kernel": _KERNEL_SHAPE,
+            "m_list": ["int"],
+            "sups": ["float"],
+            "fit_kind": "str",
+            "slope": "float",
+            "intercept": "float",
+            "r_squared": "float",
+            "stderr": "float",
+            "ratios": ["float"],
+            "ratios_strictly_decreasing": "bool",
+            "eval_resolution": "NoneType",
+        },
+    ),
+    (
+        ["eigen", *GAUSS_FLAGS, "--m-list", "1,2"],
+        "study",
+        {
+            "kernel": _KERNEL_SHAPE,
+            "d": "int",
+            "reports": [
+                {
+                    "kernel": _KERNEL_SHAPE,
+                    "m": "int",
+                    "d": "int",
+                    "lambda_min": "float",
+                    "inv_op_norm": "float",
+                    "bound_m_gamma": "float",
+                    "bound_satisfied": "bool",
+                    "bound_m_pow_d_gamma": "float",
+                    "bound_m_pow_d_satisfied": "bool",
+                    "jitter_used": "float",
+                    "method": "str",
+                }
+            ],
+        },
+    ),
+    (
+        ["train", *GAUSS_FLAGS, "--m", "2", "--n-samples", "20", "--epochs", "2",
+         "--widths", "4,4"],
+        "train_report",
+        {
+            "epochs": "int",
+            "final_train_mse": "float",
+            "heldout_sup_error": "float",
+            "heldout_mean_abs": "float",
+            "param_count": "int",
+            "seed": "int",
+            "loss_curve": ["float"],
+        },
+    ),
+    (
+        ["flm", *GAUSS_FLAGS, "--m-list", "1,2", "--n-samples", "20", "--epochs", "1",
+         "--widths", "4,4"],
+        "experiment",
+        {
+            "kernel": _KERNEL_SHAPE,
+            "weight": "str",
+            "link": "str",
+            "m_list": ["int"],
+            "n_samples": "int",
+            "train_config": {
+                "epochs": "int",
+                "batch_size": "int",
+                "learning_rate": "float",
+                "beta1": "float",
+                "beta2": "float",
+                "adam_eps": "float",
+                "seed": "int",
+                "widths": ["int"],
+                "lr_schedule": "str",
+            },
+            "rows": [
+                {
+                    "m": "int",
+                    "n_nodes": "int",
+                    "term_I": "float",
+                    "term_II": "float",
+                    "total": "float",
+                    "heldout_sup_error": "float",
+                    "heldout_mean_abs": "float",
+                    "power_sup": "float",
+                    "c_f": "float",
+                    "c_g": "float",
+                    "jitter_used": "float",
+                }
+            ],
+            "sup_trend_nonincreasing": "bool",
+            "wall_time": "float",
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, key, expected", _REPORT_SHAPES, ids=[argv[0] for argv, _, _ in _REPORT_SHAPES]
+)
+def test_report_json_shape(argv, key, expected, tmp_path):
+    out = tmp_path / "o"
+    assert run([*argv, "--out", str(out)]) == 0
+    assert _shape(json.loads(read(out / "report.json"))[key]) == expected
+
+
+@pytest.mark.parametrize("key", ["epochs", "batch_size", "seed"])
+def test_non_integer_train_setting_in_config_file_exits_2(key, tmp_path):
+    # jsonschema counts 3.0 as an integer, so TrainConfig must reject it
+    cfg = {"kernel": {"family": "gaussian"}, "m": 2, "n_samples": 10, "epochs": 1,
+           "widths": [4, 4], key: 3.0}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    argv = ["train", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "o")]
+    assert run(argv) == 2
+
+
 def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
@@ -475,6 +604,9 @@ REJECTED_ARGVS = [
     ["meta", "--theorem", "sobolev", "--M", "1"],
     ["meta", "--theorem", "sobolev", "--M", "64", "--s", "0"],
     ["meta", "--theorem", "sobolev", "--M", "64", "--kernel", "gaussian"],
+    # a prefix of a flag is not that flag
+    ["flm", "--kernel", "gaussian", "--m", "4"],
+    ["rates", *GAUSS_FLAGS, "--m", "2,4,6,8"],
 ]
 
 

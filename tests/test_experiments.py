@@ -28,6 +28,7 @@ from rfl import (
 
 GAUSS = Kernel("gaussian", sigma=1.0, dim=1)
 ENERGY = TargetFunctional(kind="l2_energy")
+LINEAR = TargetFunctional(kind="linear_integral", beta="one")
 
 
 def test_kernel_label():
@@ -89,7 +90,8 @@ def test_dataset_csv():
 
 def test_error_decomposition_triangle_and_fields():
     config = TrainConfig(epochs=5, widths=(8, 8), seed=0)
-    dec = error_decomposition(GAUSS, ENERGY, m=2, n_samples=40, train_config=config)
+    ds = generate_dataset(GAUSS, ENERGY, m=2, n_samples=40, seed=config.seed)
+    dec = error_decomposition(ds, config)
     assert dec.total <= dec.term_I + dec.term_II + 1e-10
     assert dec.term_I >= 0.0 and dec.term_II >= 0.0 and dec.total >= 0.0
     assert dec.c_f == ENERGY.holder_constant(GAUSS)
@@ -98,16 +100,23 @@ def test_error_decomposition_triangle_and_fields():
     assert dec.to_json()["term_I"] == dec.term_I
 
 
-def test_error_decomposition_accepts_prebuilt_dataset():
-    config = TrainConfig(epochs=5, widths=(8, 8), seed=0)
-    ds = generate_dataset(GAUSS, ENERGY, m=2, n_samples=40, seed=config.seed)
-    direct = error_decomposition(GAUSS, ENERGY, m=2, n_samples=40, train_config=config)
-    reused = error_decomposition(
-        GAUSS, ENERGY, m=2, n_samples=40, train_config=config, dataset=ds
-    )
-    assert reused.term_I == direct.term_I
-    assert reused.term_II == direct.term_II
-    assert reused.total == direct.total
+def test_error_decomposition_uses_the_dataset_kernel_grid_and_functional(monkeypatch):
+    config = TrainConfig(epochs=2, widths=(4, 4), seed=0)
+    ds = generate_dataset(GAUSS, LINEAR, m=8, n_samples=20, seed=config.seed)
+    grams = []
+    original = rfl.experiments.build_gram
+
+    def recording(kernel, points):
+        grams.append((kernel, points))
+        return original(kernel, points)
+
+    monkeypatch.setattr(rfl.experiments, "build_gram", recording)
+    dec = error_decomposition(ds, config)
+    assert grams == [(ds.kernel, ds.grid)]
+    assert dec.c_f == ds.functional.holder_constant(ds.kernel)
+    # targets and F(Pf) both use the dataset's functional; an l2_energy
+    # F(Pf) against these linear-integral targets would differ by O(1)
+    assert dec.term_I < 1e-9
 
 
 def test_rate_study_power_sobolev_frozen():
@@ -219,7 +228,8 @@ def test_flm_experiment_builds_one_gram_system_per_grid_size(monkeypatch):
     assert len(built) == 2
     assert [r.n_nodes for r in exp.rows] == [len(s) for s in built]
     assert [r.jitter_used for r in exp.rows] == [s.jitter_used for s in built]
-    dec = error_decomposition(GAUSS, ENERGY, m=2, n_samples=20, train_config=config)
+    ds = generate_dataset(GAUSS, ENERGY, m=2, n_samples=20, seed=config.seed)
+    dec = error_decomposition(ds, config)
     assert dec.system is built[-1]
     assert "system" not in dec.to_json()
 

@@ -292,6 +292,10 @@ def test_train_config_validation():
         ("adam_eps", 0.0),
         ("adam_eps", math.inf),
         ("seed", -1),
+        ("epochs", 3.0),
+        ("batch_size", 8.0),
+        ("seed", 1.0),
+        ("epochs", True),
     ],
 )
 def test_train_config_rejects_optimizer_settings(field, value):
