@@ -51,6 +51,7 @@ from .geometry import uniform_grid
 from .kernels import FAMILIES, Kernel
 from .nets import TrainConfig, init, train
 from .rkhs import (
+    DEFAULT_SAMPLE_CENTERS,
     build_gram,
     default_power_eval_set,
     power_function_sup,
@@ -254,12 +255,16 @@ def _train_config(cfg: dict) -> TrainConfig:
     return TrainConfig(**kwargs)
 
 
+def _weight_link(cfg: dict) -> tuple[str, str]:
+    """The gflm weight and link names of a config, defaulting to sin2pi and tanh."""
+    return cfg.get("weight", "sin2pi"), cfg.get("link", "tanh")
+
+
 def _functional_from(cfg: dict) -> TargetFunctional:
     if "functional" in cfg:
         return TargetFunctional.from_json(cfg["functional"])
-    return TargetFunctional(
-        kind="gflm", beta=cfg.get("weight", "sin2pi"), link=cfg.get("link", "tanh")
-    )
+    weight, link = _weight_link(cfg)
+    return TargetFunctional(kind="gflm", beta=weight, link=link)
 
 
 def _resolve_out(cfg: dict, command: str) -> Path:
@@ -373,7 +378,7 @@ def _cmd_project(cfg: dict):
     kernel = _kernel_from(cfg)
     m = int(_require(cfg, "m"))
     n_samples = int(cfg.get("n_samples", 100))
-    n_centers = int(cfg.get("n_centers", 10))
+    n_centers = int(cfg.get("n_centers", DEFAULT_SAMPLE_CENTERS))
     seed = int(cfg.get("seed", 0))
     grid = uniform_grid(m, kernel.dim)
     system = build_gram(kernel, grid)
@@ -440,12 +445,7 @@ def _cmd_flm(cfg: dict):
     m_list = _require(cfg, "m_list")
     config = _train_config(cfg)
     experiment = flm_experiment(
-        cfg.get("weight", "sin2pi"),
-        cfg.get("link", "tanh"),
-        kernel,
-        m_list,
-        config,
-        int(cfg.get("n_samples", 4000)),
+        *_weight_link(cfg), kernel, m_list, config, int(cfg.get("n_samples", 4000))
     )
     payload = {"command": "flm", "config": cfg, "experiment": experiment.to_json()}
     tables = {"flm": experiment.table()}

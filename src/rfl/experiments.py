@@ -25,8 +25,9 @@ from .geometry import PointSet, uniform_grid
 from .kernels import GAUSSIAN, INVERSE_MULTIQUADRIC, SOBOLEV, Kernel, m_d_constant
 from .nets import TrainConfig, TrainReport, forward_batch, init, theoretical_widths, train
 from .rkhs import (
+    DEFAULT_SAMPLE_CENTERS,
+    _NORM_TARGET_RANGE,
     GramSystem,
-    RkhsFunction,
     build_gram,
     power_function_sup,
     project,
@@ -34,8 +35,7 @@ from .rkhs import (
 )
 from .spectral import SpectralReport, check_eigen_lower_bound, holder_constant_G
 
-_NORM_TARGET_RANGE = (0.2, 1.0)
-DEFAULT_SAMPLE_CENTERS = 10
+_HOLDOUT_FRACTION = 0.2
 
 
 def kernel_label(kernel: Kernel) -> str:
@@ -51,17 +51,14 @@ def kernel_label(kernel: Kernel) -> str:
 class Dataset:
     """Sampled (node values, functional value) rows with an 80/20 split.
 
-    The first ``n_train`` rows are the training block; the remainder is
-    held out.  The drawn functions ride along so projection-based error
-    terms can be recomputed without resampling.
+    Row i holds the values of one drawn function at the ``grid`` nodes and
+    its functional value.  The first ``n_train`` rows are the training
+    block; the remainder is held out.
     """
 
     kernel: Kernel
     functional: TargetFunctional
-    m: int
-    seed: int
     grid: PointSet
-    functions: list[RkhsFunction]
     inputs: np.ndarray
     targets: np.ndarray
     n_train: int
@@ -117,36 +114,29 @@ def generate_dataset(
     m: int,
     n_samples: int,
     seed: int,
-    n_centers: int = DEFAULT_SAMPLE_CENTERS,
-    holdout_fraction: float = 0.2,
 ) -> Dataset:
     """Draw unit-ball samples and tabulate their node values and targets.
 
-    Norm targets are uniform on [0.2, 1] so the ball is covered without
+    Each sample combines ``DEFAULT_SAMPLE_CENTERS`` kernel centers and has
+    a norm target uniform on [0.2, 1], so the ball is covered without
     numerically degenerate near-zero draws; per-sample seeds come from one
     master generator, making the whole dataset a pure function of ``seed``.
+    The last 20% of the rows (rounded) are held out.
     """
     if not (isinstance(n_samples, (int, np.integer)) and n_samples >= 1):
         raise ArgumentError(f"n_samples must be a positive integer, got {n_samples!r}")
-    if not (0.0 <= holdout_fraction < 1.0):
-        raise ArgumentError(f"holdout_fraction must lie in [0, 1), got {holdout_fraction!r}")
     grid = uniform_grid(int(m), kernel.dim)
-    functions: list[RkhsFunction] = []
     inputs = np.empty((int(n_samples), len(grid)))
     targets = np.empty(int(n_samples))
-    for i, f in enumerate(_unit_ball_draws(kernel, int(n_samples), seed, n_centers)):
-        functions.append(f)
+    for i, f in enumerate(_unit_ball_draws(kernel, int(n_samples), seed, DEFAULT_SAMPLE_CENTERS)):
         inputs[i] = f.eval_at(grid.points)
         targets[i] = functional.value(f)
-    n_heldout = int(round(holdout_fraction * int(n_samples)))
+    n_heldout = int(round(_HOLDOUT_FRACTION * int(n_samples)))
     n_train = int(n_samples) - n_heldout
     return Dataset(
         kernel=kernel,
         functional=functional,
-        m=int(m),
-        seed=int(seed),
         grid=grid,
-        functions=functions,
         inputs=inputs,
         targets=targets,
         n_train=n_train,
@@ -440,6 +430,7 @@ def flm_experiment(
 
 
 THEOREM_FAMILIES = ("sobolev", "multiquadric", "gaussian")
+_MAX_BOUND_DIGITS = 4300
 
 
 def theorem_metadata(theorem: str, M: int, params: dict | None = None) -> dict:
@@ -448,7 +439,9 @@ def theorem_metadata(theorem: str, M: int, params: dict | None = None) -> dict:
     ``params`` supplies the constants the statements leave free: r, s, d,
     sigma, beta and the decay constant c (never given numerically; estimate
     it from a rate study fit).  The error-bound factor is evaluated with
-    its outer constant set to 1 and is informational only.
+    its outer constant set to 1 and is informational only.  Non-finite
+    constants, a non-integer d, a sobolev r <= d/2 and constants whose
+    formulas overflow the float range raise :class:`ArgumentError`.
     """
     if theorem not in THEOREM_FAMILIES:
         raise ArgumentError(f"unknown theorem {theorem!r}; choose from {THEOREM_FAMILIES}")
@@ -456,6 +449,11 @@ def theorem_metadata(theorem: str, M: int, params: dict | None = None) -> dict:
         raise ArgumentError(f"M must be an integer >= 2, got {M!r}")
     p = {"r": 2.0, "s": 1.0, "d": 1, "sigma": 1.0, "beta": 1.0, "c": 1.0}
     p.update(params or {})
+    for name, value in p.items():
+        if not math.isfinite(value):
+            raise ArgumentError(f"{name} must be finite, got {value!r}")
+    if isinstance(p["d"], bool) or not (float(p["d"]).is_integer() and p["d"] >= 1):
+        raise ArgumentError(f"d must be a positive integer, got {p['d']!r}")
     r, s, d, sigma, beta, c = (
         float(p["r"]),
         float(p["s"]),
@@ -466,33 +464,53 @@ def theorem_metadata(theorem: str, M: int, params: dict | None = None) -> dict:
     )
     if not (0.0 < s <= 1.0):
         raise ArgumentError(f"s must lie in (0, 1], got {s}")
+    if theorem == "sobolev" and not r > d / 2.0:
+        raise ArgumentError(f"sobolev order r={r} must exceed d/2={d / 2.0}")
     log_m = math.log(M)
-    if theorem == "sobolev":
-        m = math.ceil(M ** (1.0 / (2.0 * s * (2.0 * r - 1.0))))
-        m_expr = "ceil(M^(1/(2 s (2r-1))))"
-        exponent = (2.0 * r - d) / (2.0 * (2.0 * r - 1.0))
-        factor = d ** (s * (r + 0.5)) * M ** (-exponent)
-        bound_expr = "d^(s(r+1/2)) * M^(-(2r-d)/(2(2r-1)))"
-    elif theorem == "multiquadric":
-        md = m_d_constant(d)
-        m = math.ceil(log_m / (4.0 * md * sigma * s + c * s / math.sqrt(d)))
-        m_expr = "ceil(log(M) / (4 M_d sigma s + c s / sqrt(d)))"
-        exponent = c / (4.0 * md * math.sqrt(d) * sigma + c)
-        factor = log_m ** max(0.0, 2.0 * d - s * beta) * M ** (-exponent)
-        bound_expr = "log(M)^max(0, 2d - s beta) * M^(-c/(4 M_d sqrt(d) sigma + c))"
-    else:
-        root = math.sqrt(c * c * s * s / d + 4.0 * sigma**2 * math.pi**2 * d * s * log_m)
-        m = math.ceil(2.0 * log_m / (c * s / math.sqrt(d) + root))
-        m_expr = "ceil(2 log(M) / (c s / sqrt(d) + sqrt(c^2 s^2 / d + 4 sigma^2 pi^2 d s log(M))))"
-        inner = 0.5 * math.log(log_m) - math.log(c * s + sigma * math.pi * d * math.sqrt(s))
-        exponent = inner / (2.0 * (1.0 + sigma * math.pi * d))
-        factor = log_m**d * M ** (-exponent)
-        bound_expr = (
-            "log(M)^d * M^(-(1/(2(1+sigma pi d))) (log(log(M))/2 - log(c s + sigma pi d sqrt(s))))"
-        )
+    try:
+        if theorem == "sobolev":
+            m = math.ceil(M ** (1.0 / (2.0 * s * (2.0 * r - 1.0))))
+            m_expr = "ceil(M^(1/(2 s (2r-1))))"
+            exponent = (2.0 * r - d) / (2.0 * (2.0 * r - 1.0))
+            factor = d ** (s * (r + 0.5)) * M ** (-exponent)
+            bound_expr = "d^(s(r+1/2)) * M^(-(2r-d)/(2(2r-1)))"
+        elif theorem == "multiquadric":
+            md = m_d_constant(d)
+            m = math.ceil(log_m / (4.0 * md * sigma * s + c * s / math.sqrt(d)))
+            m_expr = "ceil(log(M) / (4 M_d sigma s + c s / sqrt(d)))"
+            exponent = c / (4.0 * md * math.sqrt(d) * sigma + c)
+            factor = log_m ** max(0.0, 2.0 * d - s * beta) * M ** (-exponent)
+            bound_expr = "log(M)^max(0, 2d - s beta) * M^(-c/(4 M_d sqrt(d) sigma + c))"
+        else:
+            root = math.sqrt(c * c * s * s / d + 4.0 * sigma**2 * math.pi**2 * d * s * log_m)
+            m = math.ceil(2.0 * log_m / (c * s / math.sqrt(d) + root))
+            m_expr = (
+                "ceil(2 log(M) / (c s / sqrt(d) + sqrt(c^2 s^2 / d + 4 sigma^2 pi^2 d s log(M))))"
+            )
+            inner = 0.5 * math.log(log_m) - math.log(c * s + sigma * math.pi * d * math.sqrt(s))
+            exponent = inner / (2.0 * (1.0 + sigma * math.pi * d))
+            factor = log_m**d * M ** (-exponent)
+            bound_expr = (
+                "log(M)^d * M^(-(1/(2(1+sigma pi d))) "
+                "(log(log(M))/2 - log(c s + sigma pi d sqrt(s))))"
+            )
+    except OverflowError:
+        raise ArgumentError(
+            f"the {theorem} formulas overflow the float range at M={M}, r={r}, s={s}, "
+            f"d={d}, sigma={sigma}, beta={beta}, c={c}"
+        ) from None
     m = max(int(m), 1)
     n_inputs = (m + 1) ** d
+    # the exact parameter bound is echoed in full and Python prints at most
+    # 4300 digits; its factor (5M)^N alone has N log10(5M), so test that first
+    too_long = ArgumentError(
+        f"the parameter bound for m={m}, d={d} and M={M} exceeds {_MAX_BOUND_DIGITS} digits"
+    )
+    if n_inputs > _MAX_BOUND_DIGITS / math.log10(5 * M):
+        raise too_long
     schedule = theoretical_widths(n_inputs, int(M))
+    if schedule.param_count_bound >= 10**_MAX_BOUND_DIGITS:
+        raise too_long
     return {
         "theorem": theorem,
         "M": int(M),

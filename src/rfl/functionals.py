@@ -17,10 +17,11 @@ import numpy as np
 from .errors import ArgumentError, DivergenceError, UnsupportedConfigurationError
 from .geometry import uniform_grid
 from .kernels import Kernel
-from .rkhs import RkhsFunction, sample_unit_ball
+from .rkhs import DEFAULT_SAMPLE_CENTERS, _NORM_TARGET_RANGE, RkhsFunction, sample_unit_ball
 
 DEFAULT_QUADRATURE_POINTS = 257
 _MIN_QUADRATURE_POINTS = 33
+_HOLDER_GRID_M = 2048
 
 LINKS = {
     "identity": (lambda x: x, 1.0),
@@ -294,32 +295,27 @@ class TargetFunctional:
 
 
 def empirical_holder(
-    functional: TargetFunctional,
-    kernel: Kernel,
-    n_pairs: int,
-    seed: int,
-    n_centers: int = 10,
-    sup_grid: int = 2048,
+    functional: TargetFunctional, kernel: Kernel, n_pairs: int, seed: int
 ) -> float:
     """Largest observed ratio |F(f) - F(g)| / |f - g|_sup over sampled pairs.
 
-    Pairs are independent unit-ball samples; sup norms are taken on a dense
-    uniform grid, so the estimate approaches the true constant from below.
+    Pairs are independent unit-ball samples of ``DEFAULT_SAMPLE_CENTERS``
+    centers each; sup norms are taken on the uniform grid with m = 2048,
+    so the estimate approaches the true constant from below.
     Deterministic per seed.
     """
     if not (isinstance(n_pairs, (int, np.integer)) and n_pairs >= 100):
         raise ArgumentError(f"n_pairs must be an integer >= 100, got {n_pairs!r}")
-    rng = np.random.default_rng(seed)
-    grid = uniform_grid(sup_grid, kernel.dim) if kernel.dim == 1 else None
-    if grid is None:
+    if kernel.dim != 1:
         raise UnsupportedConfigurationError("empirical Hölder ratios are implemented for dim=1")
-    t = grid.points
+    rng = np.random.default_rng(seed)
+    t = uniform_grid(_HOLDER_GRID_M, 1).points
     best = 0.0
     for _ in range(int(n_pairs)):
         s1, s2 = rng.integers(0, 2**63 - 1, size=2)
-        target1, target2 = rng.uniform(0.2, 1.0, size=2)
-        f = sample_unit_ball(kernel, n_centers, float(target1), int(s1))
-        g = sample_unit_ball(kernel, n_centers, float(target2), int(s2))
+        target1, target2 = rng.uniform(*_NORM_TARGET_RANGE, size=2)
+        f = sample_unit_ball(kernel, DEFAULT_SAMPLE_CENTERS, float(target1), int(s1))
+        g = sample_unit_ball(kernel, DEFAULT_SAMPLE_CENTERS, float(target2), int(s2))
         dist = float(np.abs(f.eval_at(t) - g.eval_at(t)).max())
         if dist <= 1e-12:
             continue

@@ -16,7 +16,7 @@ from scipy.stats import qmc
 from .errors import ArgumentError, ResourceLimitError
 
 DEFAULT_MAX_POINTS = 4096
-_DEFAULT_PROBE_COUNT = 2048
+_PROBE_COUNT = 2048
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,40 +62,22 @@ class PointSet:
     def __len__(self) -> int:
         return self.points.shape[0]
 
-    def to_json(self) -> dict:
-        out = {"dim": int(self.dim), "points": self.points.tolist()}
-        if self.grid_m is not None:
-            out["grid_m"] = int(self.grid_m)
-        return out
 
-    @staticmethod
-    def from_json(obj: dict) -> "PointSet":
-        return PointSet(
-            dim=int(obj["dim"]),
-            points=np.asarray(obj["points"], dtype=float),
-            grid_m=int(obj["grid_m"]) if obj.get("grid_m") is not None else None,
-        )
-
-    def to_csv(self) -> str:
-        lines = [",".join(repr(float(c)) for c in row) for row in self.points]
-        return "\n".join(lines) + "\n"
-
-
-def uniform_grid(m: int, d: int, max_points: int = DEFAULT_MAX_POINTS) -> PointSet:
+def uniform_grid(m: int, d: int) -> PointSet:
     """The lattice {0, 1/m, ..., 1}^d in row-major order.
 
-    Raises a resource-limit error when (m+1)^d exceeds ``max_points``
-    (default 4096); Gram work downstream is dense, so the cap keeps memory
-    and eigensolver cost bounded.
+    Raises a resource-limit error when (m+1)^d exceeds ``DEFAULT_MAX_POINTS``
+    (4096); Gram work downstream is dense, so the cap keeps memory and
+    eigensolver cost bounded.
     """
     if not (isinstance(m, (int, np.integer)) and m >= 1):
         raise ArgumentError(f"m must be a positive integer, got {m!r}")
     if not (isinstance(d, (int, np.integer)) and d >= 1):
         raise ArgumentError(f"d must be a positive integer, got {d!r}")
     n = (m + 1) ** d
-    if n > max_points:
+    if n > DEFAULT_MAX_POINTS:
         raise ResourceLimitError(
-            f"grid with ({m}+1)^{d} = {n} points exceeds the cap of {max_points}"
+            f"grid with ({m}+1)^{d} = {n} points exceeds the cap of {DEFAULT_MAX_POINTS}"
         )
     axis = np.arange(m + 1) / m
     cols = np.meshgrid(*([axis] * d), indexing="ij")
@@ -111,32 +93,29 @@ def halton_points(n: int, d: int) -> PointSet:
     return PointSet(dim=int(d), points=pts, _validated=True)
 
 
-def _min_dists_to(points: np.ndarray, probe: np.ndarray) -> np.ndarray:
-    """For each probe point, the distance to the nearest set point."""
-    out = np.empty(probe.shape[0])
+def _min_dists_to(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """For each query point, the distance to the nearest set point."""
+    out = np.empty(queries.shape[0])
     step = max(1, (1 << 22) // max(1, points.shape[0]))
-    for i0 in range(0, probe.shape[0], step):
-        diff = probe[i0 : i0 + step, None, :] - points[None, :, :]
+    for i0 in range(0, queries.shape[0], step):
+        diff = queries[i0 : i0 + step, None, :] - points[None, :, :]
         out[i0 : i0 + step] = np.sqrt((diff * diff).sum(axis=-1).min(axis=1))
     return out
 
 
-def fill_distance(points: PointSet, probe: PointSet | None = None) -> float:
+def fill_distance(points: PointSet) -> float:
     """Largest distance from any domain point to the node set.
 
-    Uniform grids use the exact value sqrt(d)/(2m) and ignore the probe.
-    Other sets maximize the nearest-node distance over a probe set, by
-    default 2048 unscrambled Halton points, which estimates the true fill
-    distance from below with error at most the probe resolution.
+    Uniform grids use the exact value sqrt(d)/(2m).  Other sets maximize
+    the nearest-node distance over 2048 unscrambled Halton points, which
+    estimates the true fill distance from below with error at most the
+    resolution of those probe points.
     """
     if points is None or len(points) == 0:
         raise ArgumentError("point set may not be empty")
     if points.grid_m is not None:
         return float(np.sqrt(points.dim) / (2.0 * points.grid_m))
-    if probe is None:
-        probe = halton_points(_DEFAULT_PROBE_COUNT, points.dim)
-    if probe.dim != points.dim:
-        raise ArgumentError("probe dimension does not match the point set")
+    probe = halton_points(_PROBE_COUNT, points.dim)
     return float(_min_dists_to(points.points, probe.points).max())
 
 

@@ -90,30 +90,6 @@ class TanhNetwork:
     def parameters(self) -> list[np.ndarray]:
         return [self.W1, self.b1, self.W2, self.b2, self.a]
 
-    def to_json(self) -> dict:
-        return {
-            "input_dim": int(self.input_dim),
-            "widths": [int(w) for w in self.widths],
-            "W1": self.W1.ravel().tolist(),
-            "b1": self.b1.tolist(),
-            "W2": self.W2.ravel().tolist(),
-            "b2": self.b2.tolist(),
-            "a": self.a.tolist(),
-        }
-
-    @staticmethod
-    def from_json(obj: dict) -> "TanhNetwork":
-        n = int(obj["input_dim"])
-        w1, w2 = (int(w) for w in obj["widths"])
-        return TanhNetwork(
-            input_dim=n,
-            W1=np.asarray(obj["W1"], dtype=float).reshape(w1, n),
-            b1=np.asarray(obj["b1"], dtype=float),
-            W2=np.asarray(obj["W2"], dtype=float).reshape(w2, w1),
-            b2=np.asarray(obj["b2"], dtype=float),
-            a=np.asarray(obj["a"], dtype=float),
-        )
-
 
 def init(input_dim: int, widths: tuple[int, int], seed: int) -> TanhNetwork:
     """Glorot-uniform weights, zero biases, deterministic per seed."""
@@ -172,7 +148,8 @@ def gradient(net: TanhNetwork, X, y) -> list[np.ndarray]:
     """Exact gradients of the half-mean-squared-error loss on a batch.
 
     The loss is 0.5 * mean((forward(x) - y)^2); returns gradients in the
-    order of :meth:`TanhNetwork.parameters`.
+    order of :meth:`TanhNetwork.parameters`.  The forward pass is the one
+    :func:`forward_batch` runs, with its hidden layers kept for backprop.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
@@ -181,10 +158,9 @@ def gradient(net: TanhNetwork, X, y) -> list[np.ndarray]:
     if y.shape != (X.shape[0],):
         raise ArgumentError(f"expected targets of shape ({X.shape[0]},), got {y.shape}")
     n = X.shape[0]
-    H1 = np.tanh(X @ net.W1.T - net.b1)
-    H2 = np.tanh(H1 @ net.W2.T - net.b2)
-    out = H2 @ net.a
-    e = (out - y) / n
+    H1 = np.empty((n, net.widths[0]))
+    H2 = np.empty((n, net.widths[1]))
+    e = (_forward_into(net, X, H1, H2) - y) / n
     ga = H2.T @ e
     d2 = (e[:, None] * net.a[None, :]) * (1.0 - H2 * H2)
     gb2 = -d2.sum(axis=0)
@@ -248,6 +224,16 @@ class TrainConfig:
                 raise ArgumentError(f"{name} must lie in [0, 1), got {beta!r}")
         if not (math.isfinite(self.adam_eps) and self.adam_eps > 0.0):
             raise ArgumentError(f"adam_eps must be finite and > 0, got {self.adam_eps!r}")
+        # init reads only two widths and truncates floats, so check them here
+        if not (
+            isinstance(self.widths, (tuple, list, np.ndarray))
+            and len(self.widths) == 2
+            and all(
+                isinstance(w, (int, np.integer)) and not isinstance(w, bool) and w >= 1
+                for w in self.widths
+            )
+        ):
+            raise ArgumentError(f"widths must be two integers >= 1, got {self.widths!r}")
         if self.lr_schedule not in ("constant", "cosine"):
             raise ArgumentError(
                 f"lr_schedule must be 'constant' or 'cosine', got {self.lr_schedule!r}"

@@ -292,6 +292,11 @@ def linear_combination(fs, weights) -> RkhsFunction:
     return RkhsFunction(kernel=kernel, centers=centers, coeffs=coeffs)
 
 
+# centers per drawn function; norm targets on [0.2, 1] avoid near-zero draws
+DEFAULT_SAMPLE_CENTERS = 10
+_NORM_TARGET_RANGE = (0.2, 1.0)
+
+
 def sample_unit_ball(
     kernel: Kernel, n_centers: int, norm_target: float, seed: int
 ) -> RkhsFunction:

@@ -194,21 +194,15 @@ def check_eigen_lower_bound(kernel: Kernel, m: int, d: int | None = None) -> Spe
     )
 
 
-def holder_constant_G(
-    system: GramSystem,
-    s: float,
-    C_F: float,
-    inv_op_norm: float | None = None,
-) -> float:
+def holder_constant_G(system: GramSystem, s: float, C_F: float) -> float:
     """Hölder constant of the discretized functional on node data.
 
     Evaluates C_F * (1 + |K^-1|_op * sqrt(N) * C_K * h^alpha)^s where h is
     the fill distance of the node set and (alpha, C_K) the kernel's Hölder
-    data.  By default the operator norm is the numerically computed
-    1/lambda_min; pass ``inv_op_norm`` to substitute a bound (for example
-    the spectral-density one) instead.  The computed value on a non-grid
-    node set below the noise floor raises :class:`SingularGramError` (see
-    :func:`lambda_min_accurate`).
+    data.  The operator norm is 1/lambda_min with lambda_min from
+    :func:`lambda_min_accurate`; on a non-grid node set whose smallest
+    eigenvalue lies below the noise floor that raises
+    :class:`SingularGramError`.
     """
     if not (0.0 < s <= 1.0):
         raise ArgumentError(f"exponent s must lie in (0, 1], got {s!r}")
@@ -216,8 +210,6 @@ def holder_constant_G(
         raise ArgumentError(f"functional constant must be nonnegative, got {C_F!r}")
     alpha, c_k = system.kernel.holder_data()
     h = fill_distance(system.points)
-    if inv_op_norm is None:
-        lam, _ = lambda_min_accurate(system.kernel, system.points, system.gram)
-        inv_op_norm = 1.0 / lam
+    lam, _ = lambda_min_accurate(system.kernel, system.points, system.gram)
     n = len(system)
-    return float(C_F * (1.0 + inv_op_norm * math.sqrt(n) * c_k * h**alpha) ** s)
+    return float(C_F * (1.0 + (1.0 / lam) * math.sqrt(n) * c_k * h**alpha) ** s)

@@ -25,6 +25,7 @@ from rfl import (
     rate_study_power,
     theorem_metadata,
 )
+from rfl.rkhs import DEFAULT_SAMPLE_CENTERS
 
 GAUSS = Kernel("gaussian", sigma=1.0, dim=1)
 ENERGY = TargetFunctional(kind="l2_energy")
@@ -50,13 +51,12 @@ def test_generate_dataset_shapes_and_split():
     assert ds.train_x.shape == (40, 3)
     assert ds.heldout_x.shape == (10, 3)
     assert ds.grid.grid_m == 2
-    assert len(ds.functions) == 50
 
 
 def test_generate_dataset_rows_recompute():
     ds = generate_dataset(GAUSS, ENERGY, m=2, n_samples=10, seed=3)
-    for i in (0, 4, 9):
-        f = ds.functions[i]
+    draws = rfl.experiments._unit_ball_draws(GAUSS, 10, 3, DEFAULT_SAMPLE_CENTERS)
+    for i, f in enumerate(draws):
         assert np.array_equal(ds.inputs[i], f.eval_at(ds.grid.points))
         assert ds.targets[i] == ENERGY.value(f)
 
@@ -73,8 +73,6 @@ def test_generate_dataset_deterministic():
 def test_generate_dataset_validation():
     with pytest.raises(ArgumentError):
         generate_dataset(GAUSS, ENERGY, m=2, n_samples=0, seed=0)
-    with pytest.raises(ArgumentError):
-        generate_dataset(GAUSS, ENERGY, m=2, n_samples=10, seed=0, holdout_fraction=1.0)
     with pytest.raises(ArgumentError):
         generate_dataset(GAUSS, ENERGY, m=2, n_samples=10, seed=-1)
 
@@ -275,3 +273,21 @@ def test_theorem_metadata_validation():
         theorem_metadata("sobolev", 64, params={"s": 1.5})
     with pytest.raises(UnsupportedConfigurationError):
         theorem_metadata("multiquadric", 64, params={"d": 5})
+    # constants the formulas cannot take, including a sobolev r <= d/2 and an M
+    # past the float range
+    for theorem, M, params in [
+        ("sobolev", 64, {"r": 0.5}),
+        ("sobolev", 64, {"r": 0.75, "d": 2}),
+        ("sobolev", 64, {"r": math.nan}),
+        ("gaussian", 64, {"sigma": math.inf}),
+        ("gaussian", 64, {"d": 2.5}),
+        ("gaussian", 64, {"sigma": 1e200}),
+        ("sobolev", 10**400, {}),
+        # the exact parameter bound would need more than 4300 digits: the first
+        # is caught before (5M)^N is computed, the second right after
+        ("sobolev", 10**300, {}),
+        ("sobolev", 453000, {"r": 1.0}),
+    ]:
+        with pytest.raises(ArgumentError):
+            theorem_metadata(theorem, M, params=params)
+    assert theorem_metadata("gaussian", 64, params={"d": 2.0})["params"]["d"] == 2

@@ -150,6 +150,32 @@ def test_gradient_matches_central_differences():
             assert abs(fd - flat_g[idx]) / denom <= 1e-6
 
 
+def reference_gradient(net, X, y):
+    """Backprop with its own inline forward pass: the oracle for ``gradient``."""
+    n = X.shape[0]
+    H1 = np.tanh(X @ net.W1.T - net.b1)
+    H2 = np.tanh(H1 @ net.W2.T - net.b2)
+    e = (H2 @ net.a - y) / n
+    d2 = (e[:, None] * net.a[None, :]) * (1.0 - H2 * H2)
+    d1 = (d2 @ net.W2) * (1.0 - H1 * H1)
+    return [d1.T @ X, -d1.sum(axis=0), d2.T @ H1, -d2.sum(axis=0), H2.T @ e]
+
+
+@pytest.mark.parametrize(
+    "n, dim, widths", [(1, 9, (128, 128)), (64, 9, (128, 128)), (17, 3, (32, 16))]
+)
+def test_gradient_bit_identical_to_inline_forward_pass(n, dim, widths):
+    net = init(dim, widths, seed=5)
+    rng = np.random.default_rng(n)
+    net.b1[...] = rng.standard_normal(widths[0])
+    net.b2[...] = rng.standard_normal(widths[1])
+    X = rng.uniform(-1.0, 1.0, (n, dim))
+    y = rng.standard_normal(n)
+    for got, want in zip(gradient(net, X, y), reference_gradient(net, X, y), strict=True):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 def test_gradient_validation():
     net = init(2, (3, 3), seed=0)
     with pytest.raises(ArgumentError):
@@ -296,21 +322,15 @@ def test_train_config_validation():
         ("batch_size", 8.0),
         ("seed", 1.0),
         ("epochs", True),
+        pytest.param("widths", (5,), id="widths-one"),
+        pytest.param("widths", (5, 5, 5), id="widths-three"),
+        pytest.param("widths", (2.5, 3), id="widths-float"),
+        pytest.param("widths", (True, 4), id="widths-bool"),
     ],
 )
 def test_train_config_rejects_optimizer_settings(field, value):
     with pytest.raises(ArgumentError, match=field):
         TrainConfig(**{field: value})
-
-
-def test_network_json_roundtrip():
-    net = init(3, (5, 4), seed=8)
-    back = TanhNetwork.from_json(net.to_json())
-    assert back.input_dim == net.input_dim
-    for pa, pb in zip(net.parameters(), back.parameters()):
-        assert np.array_equal(pa, pb)
-    x = np.array([0.1, -0.2, 0.3])
-    assert forward(back, x) == forward(net, x)
 
 
 def test_report_and_config_json():

@@ -155,11 +155,6 @@ def test_holder_constant_G_matches_manual_formula():
 def test_holder_constant_G_frozen_and_override():
     system = build_gram(GAUSS, uniform_grid(2, 1))
     assert holder_constant_G(system, 1.0, 1.0) == pytest.approx(23.900, rel=1e-3)
-    # substituting an operator-norm bound is honored verbatim
-    assert holder_constant_G(system, 1.0, 1.0, inv_op_norm=0.0) == 1.0
-    assert holder_constant_G(system, 1.0, 2.0, inv_op_norm=4.0) == pytest.approx(
-        2.0 * (1.0 + 4.0 * math.sqrt(3.0) * 0.25), rel=1e-13
-    )
 
 
 def test_holder_constant_G_validation():
