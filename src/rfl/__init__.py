@@ -26,17 +26,7 @@ from .functionals import (
     LINKS,
     ODE_RHS,
     TargetFunctional,
-    beta_l2_norm,
     empirical_holder,
-    gflm_holder_constant,
-    gflm_map,
-    l2_energy,
-    linear_integral,
-    ode_error_estimate,
-    ode_holder_constant,
-    ode_solution_map,
-    quadrature_error_estimate,
-    simpson_weights,
 )
 from .geometry import (
     PointSet,
@@ -139,7 +129,6 @@ __all__ = [
     "TrainReport",
     "UnsupportedConfigurationError",
     "WidthSchedule",
-    "beta_l2_norm",
     "build_gram",
     "check_eigen_lower_bound",
     "default_power_eval_set",
@@ -150,35 +139,26 @@ __all__ = [
     "forward",
     "forward_batch",
     "generate_dataset",
-    "gflm_holder_constant",
-    "gflm_map",
     "gradient",
     "halton_points",
     "holder_constant_G",
     "init",
     "kernel_label",
-    "l2_energy",
     "lambda_min_accurate",
     "linear_combination",
-    "linear_integral",
     "loss_mse",
     "m_d_constant",
     "nodal_eval",
-    "ode_error_estimate",
-    "ode_holder_constant",
-    "ode_solution_map",
     "power_function",
     "power_function_sup",
     "power_values",
     "project",
-    "quadrature_error_estimate",
     "rate_study_eigen",
     "rate_study_power",
     "rkhs_inner",
     "rkhs_norm",
     "sample_unit_ball",
     "separation_radius",
-    "simpson_weights",
     "smallest_eigenvalue",
     "sup_error",
     "theorem_metadata",

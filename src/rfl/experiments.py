@@ -440,8 +440,8 @@ def theorem_metadata(theorem: str, M: int, params: dict | None = None) -> dict:
     sigma, beta and the decay constant c (never given numerically; estimate
     it from a rate study fit).  The error-bound factor is evaluated with
     its outer constant set to 1 and is informational only.  Non-finite
-    constants, a non-integer d, a sobolev r <= d/2 and constants whose
-    formulas overflow the float range raise :class:`ArgumentError`.
+    constants, a non-integer d, sigma, beta or c <= 0, a sobolev r <= d/2
+    and formulas that overflow the float range raise :class:`ArgumentError`.
     """
     if theorem not in THEOREM_FAMILIES:
         raise ArgumentError(f"unknown theorem {theorem!r}; choose from {THEOREM_FAMILIES}")
@@ -464,6 +464,8 @@ def theorem_metadata(theorem: str, M: int, params: dict | None = None) -> dict:
     )
     if not (0.0 < s <= 1.0):
         raise ArgumentError(f"s must lie in (0, 1], got {s}")
+    if min(sigma, beta, c) <= 0.0:
+        raise ArgumentError(f"sigma, beta and c must be positive, got {sigma}, {beta}, {c}")
     if theorem == "sobolev" and not r > d / 2.0:
         raise ArgumentError(f"sobolev order r={r} must exceed d/2={d / 2.0}")
     log_m = math.log(M)

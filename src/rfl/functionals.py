@@ -1,16 +1,20 @@
 """Target functionals on the unit ball: integral maps, an ODE endpoint map,
 a quadratic energy, and empirical Hölder-ratio estimation.
 
-Each configured functional is 1-Hölder (Lipschitz) on the unit ball with a
-computable constant C_F; the constant travels with the functional so rate
-checks downstream can compare measured errors against C_F times a power of
-the interpolation error.
+:class:`TargetFunctional` is the one API: it checks every setting once, when
+it is built, and evaluates each kind itself.  Each configured functional is
+1-Hölder (Lipschitz) on the unit ball with a computable constant C_F; the
+constant travels with the functional so rate checks downstream can compare
+measured errors against C_F times a power of the interpolation error.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from functools import cached_property
+from numbers import Real
 
 import numpy as np
 
@@ -22,6 +26,7 @@ from .rkhs import DEFAULT_SAMPLE_CENTERS, _NORM_TARGET_RANGE, RkhsFunction, samp
 DEFAULT_QUADRATURE_POINTS = 257
 _MIN_QUADRATURE_POINTS = 33
 _HOLDER_GRID_M = 2048
+_FLOAT_MAX = sys.float_info.max
 
 LINKS = {
     "identity": (lambda x: x, 1.0),
@@ -46,102 +51,13 @@ ODE_RHS = {
 FUNCTIONAL_KINDS = ("linear_integral", "gflm", "ode_map", "l2_energy")
 
 
-def _check_quadrature_points(n: int) -> int:
-    if not (isinstance(n, (int, np.integer)) and n >= _MIN_QUADRATURE_POINTS and n % 2 == 1):
-        raise ArgumentError(
-            f"quadrature_points must be an odd integer >= {_MIN_QUADRATURE_POINTS}, got {n!r}"
-        )
-    return int(n)
-
-
-def simpson_weights(n: int) -> np.ndarray:
+def _simpson_weights(n: int) -> np.ndarray:
     """Composite Simpson weights for n equally spaced points on [0, 1]."""
-    n = _check_quadrature_points(n)
     h = 1.0 / (n - 1)
     w = np.full(n, 2.0)
     w[1::2] = 4.0
     w[0] = w[-1] = 1.0
     return w * (h / 3.0)
-
-
-def _require_line(f: RkhsFunction, what: str):
-    if f.kernel.dim != 1:
-        raise UnsupportedConfigurationError(f"{what} is only defined for dim=1 inputs")
-
-
-def _beta_values(beta, t: np.ndarray) -> np.ndarray:
-    if isinstance(beta, str):
-        if beta not in BETAS:
-            raise ArgumentError(f"unknown weight name {beta!r}; choose from {sorted(BETAS)}")
-        return BETAS[beta][0](t)
-    if isinstance(beta, RkhsFunction):
-        return beta.eval_at(t[:, None])
-    raise ArgumentError("weight must be a registered name or an RkhsFunction")
-
-
-def beta_l2_norm(beta, quadrature_points: int = DEFAULT_QUADRATURE_POINTS) -> float:
-    """L2([0,1]) norm of a weight; closed form for registered names."""
-    if isinstance(beta, str):
-        if beta not in BETAS:
-            raise ArgumentError(f"unknown weight name {beta!r}; choose from {sorted(BETAS)}")
-        return BETAS[beta][1]
-    n = _check_quadrature_points(quadrature_points)
-    t = np.linspace(0.0, 1.0, n)
-    vals = _beta_values(beta, t)
-    return float(math.sqrt(max(simpson_weights(n) @ (vals * vals), 0.0)))
-
-
-def linear_integral(
-    f: RkhsFunction, beta, quadrature_points: int = DEFAULT_QUADRATURE_POINTS
-) -> float:
-    """Composite-Simpson value of the weighted integral of f over [0, 1]."""
-    _require_line(f, "the integral functional")
-    n = _check_quadrature_points(quadrature_points)
-    t = np.linspace(0.0, 1.0, n)
-    integrand = f.eval_at(t[:, None]) * _beta_values(beta, t)
-    return float(simpson_weights(n) @ integrand)
-
-
-def quadrature_error_estimate(
-    f: RkhsFunction, beta, quadrature_points: int = DEFAULT_QUADRATURE_POINTS
-) -> float:
-    """Richardson step-halving estimate of the Simpson quadrature error."""
-    n = _check_quadrature_points(quadrature_points)
-    coarse = max(_MIN_QUADRATURE_POINTS, (n - 1) // 2 + 1)
-    if coarse % 2 == 0:
-        coarse += 1
-    fine_val = linear_integral(f, beta, n)
-    coarse_val = linear_integral(f, beta, coarse)
-    return abs(fine_val - coarse_val) / 15.0
-
-
-def gflm_map(
-    f: RkhsFunction,
-    beta,
-    link: str,
-    quadrature_points: int = DEFAULT_QUADRATURE_POINTS,
-) -> float:
-    """Scalar-on-function regression map: link applied to the weighted integral."""
-    if link not in LINKS:
-        raise ArgumentError(f"unknown link {link!r}; choose from {sorted(LINKS)}")
-    g, _ = LINKS[link]
-    return float(g(linear_integral(f, beta, quadrature_points)))
-
-
-def gflm_holder_constant(kernel: Kernel, beta, link: str) -> float:
-    """C_F = Lip(link) * |beta|_L2 * kappa for the regression map."""
-    if link not in LINKS:
-        raise ArgumentError(f"unknown link {link!r}; choose from {sorted(LINKS)}")
-    return LINKS[link][1] * beta_l2_norm(beta) * kernel.kappa()
-
-
-def l2_energy(f: RkhsFunction, quadrature_points: int = DEFAULT_QUADRATURE_POINTS) -> float:
-    """Squared L2 norm of f over [0, 1] by composite Simpson."""
-    _require_line(f, "the energy functional")
-    n = _check_quadrature_points(quadrature_points)
-    t = np.linspace(0.0, 1.0, n)
-    vals = f.eval_at(t[:, None])
-    return float(simpson_weights(n) @ (vals * vals))
 
 
 def _rk4(f: RkhsFunction, rhs_name: str, a: float, b: float, h0: float, steps: int) -> float:
@@ -167,60 +83,17 @@ def _rk4(f: RkhsFunction, rhs_name: str, a: float, b: float, h0: float, steps: i
     return h
 
 
-def ode_solution_map(
-    f: RkhsFunction, rhs: str, a: float, b: float, h0: float, steps: int
-) -> float:
-    """Endpoint value h(b) of the initial value problem h' = rhs(x, f(x), h)."""
-    if rhs not in ODE_RHS:
-        raise ArgumentError(f"unknown rhs {rhs!r}; choose from {sorted(ODE_RHS)}")
-    if not (isinstance(steps, (int, np.integer)) and steps >= 16):
-        raise ArgumentError(f"steps must be an integer >= 16, got {steps!r}")
-    if not (b > a):
-        raise ArgumentError(f"need b > a, got [{a}, {b}]")
-    _require_line(f, "the ODE solution map")
-    return _rk4(f, rhs, float(a), float(b), float(h0), int(steps))
-
-
-def ode_error_estimate(
-    f: RkhsFunction, rhs: str, a: float, b: float, h0: float, steps: int
-) -> float:
-    """Richardson step-halving estimate of the integrator error at b."""
-    v1 = ode_solution_map(f, rhs, a, b, h0, steps)
-    v2 = ode_solution_map(f, rhs, a, b, h0, 2 * steps)
-    return abs(v1 - v2) / 15.0
-
-
-def ode_holder_constant(kernel: Kernel, rhs: str, a: float, b: float, h0: float) -> float:
-    """Lipschitz constant of f -> h_f(b) with respect to the sup norm of f.
-
-    Comparison-lemma bounds: for rhs "u" the map is the plain integral, so
-    the constant is b - a; "h" ignores f entirely; "u_minus_h" damps the
-    perturbation (|delta h(b)| <= int e^{-(b-tau)} |delta f| <= (b-a) sup);
-    "sin_u_times_h" has |h| <= |h0| e^{x-a} and rhs slopes bounded by |h|
-    in u and 1 in h, giving |h0| e^{b-a} (b-a).
-    """
-    if rhs not in ODE_RHS:
-        raise ArgumentError(f"unknown rhs {rhs!r}; choose from {sorted(ODE_RHS)}")
-    span = float(b) - float(a)
-    if span <= 0:
-        raise ArgumentError(f"need b > a, got [{a}, {b}]")
-    if rhs == "u":
-        return span
-    if rhs == "h":
-        return 0.0
-    if rhs == "u_minus_h":
-        return span
-    return abs(float(h0)) * math.exp(span) * span
-
-
 @dataclass(frozen=True)
 class TargetFunctional:
     """One configured functional with its Hölder data.
 
-    ``kind`` selects the map; ``beta``/``link`` configure the integral
-    kinds and ``ode`` (a dict with rhs, a, b, h0, steps) the ODE kind.
-    The Hölder exponent is 1 for every configuration; the constant depends
-    on the kernel through its amplitude kappa.
+    ``kind`` selects the map: the Simpson integral over [0, 1] of f times
+    the weight ``beta`` (a ``BETAS`` name or a dim=1 :class:`RkhsFunction`),
+    ``link`` of that integral (``gflm``), the squared L2 norm of f, or the
+    RK4 endpoint h(b) of h' = rhs(x, f(x), h) with ``ode`` = {rhs, a, b, h0,
+    steps}.  Every setting is checked here, once.  The Hölder exponent is 1
+    for every configuration; the constant depends on the kernel through its
+    amplitude kappa.
     """
 
     kind: str
@@ -234,41 +107,99 @@ class TargetFunctional:
             raise ArgumentError(
                 f"unknown functional kind {self.kind!r}; choose from {FUNCTIONAL_KINDS}"
             )
-        if self.kind in ("linear_integral", "gflm") and self.beta is None:
-            raise ArgumentError(f"{self.kind} requires a weight (beta)")
+        beta = self.beta
+        if self.kind in ("linear_integral", "gflm"):
+            if beta is None:
+                raise ArgumentError(f"{self.kind} requires a weight (beta)")
+            if isinstance(beta, str) and beta not in BETAS:
+                raise ArgumentError(f"unknown weight name {beta!r}; choose from {sorted(BETAS)}")
+            on_line = isinstance(beta, RkhsFunction) and beta.kernel.dim == 1
+            if not (isinstance(beta, str) or on_line):
+                raise ArgumentError("weight must be a registered name or a dim=1 RkhsFunction")
         if self.kind == "gflm" and self.link not in LINKS:
             raise ArgumentError(f"unknown link {self.link!r}; choose from {sorted(LINKS)}")
         if self.kind == "ode_map":
-            if not isinstance(self.ode, dict):
+            o = self.ode
+            if not isinstance(o, dict):
                 raise ArgumentError("ode_map requires an ode config dict")
-            missing = {"rhs", "a", "b", "h0", "steps"} - set(self.ode)
+            missing = {"rhs", "a", "b", "h0", "steps"} - set(o)
             if missing:
                 raise ArgumentError(f"ode config missing keys: {sorted(missing)}")
-        _check_quadrature_points(self.quadrature_points)
+            if not (isinstance(o["rhs"], str) and o["rhs"] in ODE_RHS):
+                raise ArgumentError(f"unknown rhs {o['rhs']!r}; choose from {sorted(ODE_RHS)}")
+            if not (isinstance(o["steps"], (int, np.integer)) and o["steps"] >= 16):
+                raise ArgumentError(f"steps must be an integer >= 16, got {o['steps']!r}")
+            for key in ("a", "b", "h0"):
+                # abs(v) <= max float also rejects NaN and ints past the float range
+                v = o[key]
+                if isinstance(v, bool) or not (isinstance(v, Real) and abs(v) <= _FLOAT_MAX):
+                    raise ArgumentError(f"ode {key} must be a finite real number, got {v!r}")
+            if not o["b"] > o["a"]:
+                raise ArgumentError(f"need b > a, got [{o['a']}, {o['b']}]")
+        n = self.quadrature_points
+        if not (isinstance(n, (int, np.integer)) and n >= _MIN_QUADRATURE_POINTS and n % 2 == 1):
+            raise ArgumentError(
+                f"quadrature_points must be an odd integer >= {_MIN_QUADRATURE_POINTS}, got {n!r}"
+            )
+
+    @cached_property
+    def _rule(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """Simpson nodes t, weights w and weight values beta(t), built on first use."""
+        t = np.linspace(0.0, 1.0, int(self.quadrature_points))
+        beta, b = self.beta, None
+        if self.kind != "l2_energy":
+            b = BETAS[beta][0](t) if isinstance(beta, str) else beta.eval_at(t[:, None])
+        return t, _simpson_weights(len(t)), b
 
     def value(self, f: RkhsFunction) -> float:
-        if self.kind == "linear_integral":
-            return linear_integral(f, self.beta, self.quadrature_points)
-        if self.kind == "gflm":
-            return gflm_map(f, self.beta, self.link, self.quadrature_points)
+        if f.kernel.dim != 1:
+            what = {"l2_energy": "energy functional", "ode_map": "ODE solution map"}
+            what = what.get(self.kind, "integral functional")
+            raise UnsupportedConfigurationError(f"the {what} is only defined for dim=1 inputs")
+        if self.kind == "ode_map":
+            o = self.ode
+            return _rk4(f, o["rhs"], float(o["a"]), float(o["b"]), float(o["h0"]), int(o["steps"]))
+        t, w, b = self._rule
         if self.kind == "l2_energy":
-            return l2_energy(f, self.quadrature_points)
-        o = self.ode
-        return ode_solution_map(f, o["rhs"], o["a"], o["b"], o["h0"], o["steps"])
+            vals = f.eval_at(t[:, None])
+            return float(w @ (vals * vals))
+        integral = float(w @ (f.eval_at(t[:, None]) * b))
+        return float(LINKS[self.link][0](integral)) if self.kind == "gflm" else integral
 
     def holder_exponent(self) -> float:
         return 1.0
 
     def holder_constant(self, kernel: Kernel) -> float:
-        """The constant C_F of |F(f) - F(g)| <= C_F |f - g|_sup on the ball."""
-        if self.kind == "linear_integral":
-            return beta_l2_norm(self.beta) * kernel.kappa()
-        if self.kind == "gflm":
-            return gflm_holder_constant(kernel, self.beta, self.link)
+        """The constant C_F of |F(f) - F(g)| <= C_F |f - g|_sup on the ball.
+
+        Lip(link) * |beta|_L2 * kappa for the integral kinds (Lip = 1 for
+        ``linear_integral``) and 2 kappa for the energy.  The ODE map has
+        comparison-lemma bounds: for rhs "u" the map is the plain integral,
+        so the constant is b - a; "h" ignores f entirely; "u_minus_h" damps
+        the perturbation (|delta h(b)| <= int e^{-(b-tau)} |delta f| <=
+        (b-a) sup); "sin_u_times_h" has |h| <= |h0| e^{x-a} and rhs slopes
+        bounded by |h| in u and 1 in h, giving |h0| e^{b-a} (b-a).
+        """
         if self.kind == "l2_energy":
             return 2.0 * kernel.kappa()
-        o = self.ode
-        return ode_holder_constant(kernel, o["rhs"], o["a"], o["b"], o["h0"])
+        if self.kind == "ode_map":
+            o = self.ode
+            span = float(o["b"]) - float(o["a"])
+            if o["rhs"] == "h":
+                return 0.0
+            if o["rhs"] == "sin_u_times_h":
+                return abs(float(o["h0"])) * math.exp(span) * span
+            return span
+        if isinstance(self.beta, str):
+            norm = BETAS[self.beta][1]
+        else:
+            # a function weight's L2 norm always takes the default 257-point
+            # rule, whatever quadrature_points is set to
+            n = DEFAULT_QUADRATURE_POINTS
+            vals = self.beta.eval_at(np.linspace(0.0, 1.0, n)[:, None])
+            norm = float(math.sqrt(max(_simpson_weights(n) @ (vals * vals), 0.0)))
+        lip = LINKS[self.link][1] if self.kind == "gflm" else 1.0
+        return lip * norm * kernel.kappa()
 
     def to_json(self) -> dict:
         out = {"kind": self.kind, "quadrature_points": int(self.quadrature_points)}

@@ -93,13 +93,23 @@ def halton_points(n: int, d: int) -> PointSet:
     return PointSet(dim=int(d), points=pts, _validated=True)
 
 
+def _sq_dist_blocks(A: np.ndarray, B: np.ndarray):
+    """Yield (i0, D), D the squared distances from rows i0, i0+1, ... of A to B.
+
+    Blocks of about 4M distances bound memory; the difference is squared in
+    place, since the caller still holds the previous block.
+    """
+    step = max(1, (1 << 22) // max(1, B.shape[0]))
+    for i0 in range(0, A.shape[0], step):
+        diff = A[i0 : i0 + step, None, :] - B[None, :, :]
+        yield i0, np.multiply(diff, diff, out=diff).sum(axis=-1)
+
+
 def _min_dists_to(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """For each query point, the distance to the nearest set point."""
     out = np.empty(queries.shape[0])
-    step = max(1, (1 << 22) // max(1, points.shape[0]))
-    for i0 in range(0, queries.shape[0], step):
-        diff = queries[i0 : i0 + step, None, :] - points[None, :, :]
-        out[i0 : i0 + step] = np.sqrt((diff * diff).sum(axis=-1).min(axis=1))
+    for i0, d2 in _sq_dist_blocks(queries, points):
+        out[i0 : i0 + d2.shape[0]] = np.sqrt(d2.min(axis=1))
     return out
 
 
@@ -121,17 +131,12 @@ def fill_distance(points: PointSet) -> float:
 
 def separation_radius(points: PointSet) -> float:
     """Half the distance between the two closest points of the set."""
-    n = len(points)
-    if n < 2:
+    if len(points) < 2:
         raise ArgumentError("separation radius needs at least two points")
     if points.grid_m is not None:
         return 1.0 / (2.0 * points.grid_m)
     best = np.inf
-    pts = points.points
-    step = max(1, (1 << 22) // n)
-    for i0 in range(0, n, step):
-        diff = pts[i0 : i0 + step, None, :] - pts[None, :, :]
-        d2 = (diff * diff).sum(axis=-1)
+    for i0, d2 in _sq_dist_blocks(points.points, points.points):
         for i in range(d2.shape[0]):
             d2[i, i0 + i] = np.inf
         best = min(best, float(d2.min()))

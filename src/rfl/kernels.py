@@ -23,6 +23,7 @@ import numpy as np
 from scipy import integrate, interpolate
 
 from .errors import ArgumentError, UnsupportedConfigurationError
+from .geometry import _sq_dist_blocks
 
 GAUSSIAN = "gaussian"
 INVERSE_MULTIQUADRIC = "inverse_multiquadric"
@@ -247,12 +248,9 @@ def _as_point(p, dim: int) -> np.ndarray:
 
 def _sq_dists(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Pairwise squared Euclidean distances, blockwise to bound memory."""
-    n, p = X.shape[0], Y.shape[0]
-    out = np.empty((n, p))
-    step = max(1, (1 << 22) // max(1, p))
-    for i0 in range(0, n, step):
-        diff = X[i0 : i0 + step, None, :] - Y[None, :, :]
-        out[i0 : i0 + step] = (diff * diff).sum(axis=-1)
+    out = np.empty((X.shape[0], Y.shape[0]))
+    for i0, d2 in _sq_dist_blocks(X, Y):
+        out[i0 : i0 + d2.shape[0]] = d2
     return out
 
 

@@ -155,6 +155,8 @@ def gradient(net: TanhNetwork, X, y) -> list[np.ndarray]:
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if X.shape[0] == 0:
         raise ArgumentError("gradient needs a nonempty batch")
+    if X.shape[1] != net.input_dim:
+        raise ArgumentError(f"expected inputs with {net.input_dim} features, got {X.shape[1]}")
     if y.shape != (X.shape[0],):
         raise ArgumentError(f"expected targets of shape ({X.shape[0]},), got {y.shape}")
     n = X.shape[0]

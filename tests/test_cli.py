@@ -613,13 +613,22 @@ REJECTED_ARGVS = [
     # a prefix of a flag is not that flag
     ["flm", "--kernel", "gaussian", "--m", "4"],
     ["rates", *GAUSS_FLAGS, "--m", "2,4,6,8"],
+    # non-finite ODE settings pass the schema (json reads Infinity and NaN) and
+    # are rejected when train builds the functional, not when the ODE diverges
+    *[
+        ["train", "--kernel", "gaussian", "--m", "4", "--n-samples", "20", "--epochs", "1",
+         "--functional", '{"kind": "ode_map", "ode": {"rhs": "u", "a": 0, "b": %s, '
+         '"h0": %s, "steps": 64}}' % bh]
+        for bh in (("Infinity", "1"), ("1", "NaN"))
+    ],
 ]
 
 
 @pytest.mark.parametrize("argv", REJECTED_ARGVS, ids=" ".join)
 def test_rejected_flags_exit_2(argv, tmp_path, monkeypatch):
-    # meta's handler is plain arithmetic and checks its constants itself
-    assert _echo_run(argv, tmp_path, monkeypatch, keep=("meta",)) == 2
+    # meta's handler is plain arithmetic and checks its constants itself, and
+    # train's builds its functional before any sampling or training
+    assert _echo_run(argv, tmp_path, monkeypatch, keep=("meta", "train")) == 2
 
 
 @pytest.mark.parametrize("command", sorted(rfl.cli._HANDLERS))

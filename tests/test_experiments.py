@@ -287,6 +287,13 @@ def test_theorem_metadata_validation():
         # is caught before (5M)^N is computed, the second right after
         ("sobolev", 10**300, {}),
         ("sobolev", 453000, {"r": 1.0}),
+        # sigma, beta and c must be positive, as the CLI schema requires
+        ("gaussian", 64, {"c": -1.0}),
+        ("multiquadric", 64, {"sigma": -0.1}),
+        ("gaussian", 64, {"sigma": -1.0}),
+        ("gaussian", 64, {"sigma": 0.0}),
+        ("multiquadric", 64, {"beta": 0.0}),
+        ("sobolev", 64, {"c": 0.0}),
     ]:
         with pytest.raises(ArgumentError):
             theorem_metadata(theorem, M, params=params)

@@ -1,8 +1,9 @@
-"""Quadrature, functional maps, the ODE endpoint map, and Hölder constants.
+"""Quadrature, the functional kinds, the ODE endpoint map, and Hölder constants.
 
-Frozen integral values come from scipy.integrate.quad run separately, for
-example quad(exp(-(t-1/2)^2/2), 0, 1) = 0.9598504379197684; ODE references
-use either closed forms or scipy's solve_ivp as a second route.
+Every value goes through :class:`TargetFunctional`.  Frozen integral values
+come from scipy.integrate.quad run separately, for example
+quad(exp(-(t-1/2)^2/2), 0, 1) = 0.9598504379197684; ODE references use
+either closed forms or scipy's solve_ivp as a second route.
 """
 
 from __future__ import annotations
@@ -14,6 +15,9 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from rfl import (
+    BETAS,
+    LINKS,
+    ODE_RHS,
     ArgumentError,
     DivergenceError,
     FUNCTIONAL_KINDS,
@@ -21,18 +25,11 @@ from rfl import (
     RkhsFunction,
     TargetFunctional,
     UnsupportedConfigurationError,
-    beta_l2_norm,
     empirical_holder,
-    gflm_holder_constant,
-    gflm_map,
-    l2_energy,
-    linear_integral,
-    ode_error_estimate,
-    ode_holder_constant,
-    ode_solution_map,
-    quadrature_error_estimate,
-    simpson_weights,
+    linear_combination,
+    sample_unit_ball,
 )
+from rfl.functionals import _simpson_weights
 
 GAUSS = Kernel("gaussian", sigma=1.0, dim=1)
 
@@ -42,8 +39,22 @@ def bump(center: float) -> RkhsFunction:
     return RkhsFunction(GAUSS, np.array([[center]]), np.array([1.0]))
 
 
+def integral(beta, f, **kw) -> float:
+    return TargetFunctional(kind="linear_integral", beta=beta, **kw).value(f)
+
+
+def energy(f, **kw) -> float:
+    return TargetFunctional(kind="l2_energy", **kw).value(f)
+
+
+def ode_map(rhs, a, b, h0, steps) -> TargetFunctional:
+    return TargetFunctional(
+        kind="ode_map", ode={"rhs": rhs, "a": a, "b": b, "h0": h0, "steps": steps}
+    )
+
+
 def test_simpson_weights_basic():
-    w = simpson_weights(33)
+    w = _simpson_weights(33)
     assert w.sum() == pytest.approx(1.0, rel=1e-14)
     t = np.linspace(0.0, 1.0, 33)
     # Simpson is exact on cubics up to round-off
@@ -51,44 +62,37 @@ def test_simpson_weights_basic():
     assert w @ t**2 == pytest.approx(1.0 / 3.0, rel=1e-13)
 
 
-def test_simpson_weights_validation():
-    with pytest.raises(ArgumentError):
-        simpson_weights(32)
-    with pytest.raises(ArgumentError):
-        simpson_weights(31)
-    with pytest.raises(ArgumentError):
-        simpson_weights(33.0)
+def test_quadrature_points_validation():
+    for n in (32, 31, 33.0, 10, True):
+        with pytest.raises(ArgumentError):
+            TargetFunctional(kind="l2_energy", quadrature_points=n)
 
 
-def test_beta_l2_norm():
-    assert beta_l2_norm("one") == 1.0
-    assert beta_l2_norm("sin2pi") == pytest.approx(0.7071067811865476, rel=1e-14)
+def test_weight_l2_norm():
+    # linear_integral's constant is |beta|_L2 * kappa, and kappa = 1 here
+    def norm(beta, **kw):
+        return TargetFunctional(kind="linear_integral", beta=beta, **kw).holder_constant(GAUSS)
+
+    assert norm("one") == 1.0
+    assert norm("sin2pi") == pytest.approx(0.7071067811865476, rel=1e-14)
     # numeric route for function weights: || exp(-(t-1/2)^2/2) ||_{L2}
-    assert beta_l2_norm(bump(0.5)) == pytest.approx(
-        math.sqrt(0.9225620128255848), rel=1e-9
-    )
-    with pytest.raises(ArgumentError):
-        beta_l2_norm("cos")
+    assert norm(bump(0.5)) == pytest.approx(math.sqrt(0.9225620128255848), rel=1e-9)
+    # always the default 257-point rule, whatever quadrature_points is
+    assert norm(bump(0.5), quadrature_points=33) == norm(bump(0.5))
 
 
 def test_linear_integral_frozen():
-    assert linear_integral(bump(0.5), "one") == pytest.approx(
-        0.9598504379197684, abs=1e-11
-    )
+    assert integral("one", bump(0.5)) == pytest.approx(0.9598504379197684, abs=1e-11)
     # composite Simpson at 257 points truncates near 7e-11 here
-    assert linear_integral(bump(0.3), "sin2pi") == pytest.approx(
-        0.029739523361115367, abs=5e-10
-    )
+    assert integral("sin2pi", bump(0.3)) == pytest.approx(0.029739523361115367, abs=5e-10)
 
 
 def test_linear_integral_linearity():
     f = bump(0.2)
     g = bump(0.7)
-    from rfl import linear_combination
-
     h = linear_combination([f, g], [2.0, -3.0])
-    assert linear_integral(h, "one") == pytest.approx(
-        2.0 * linear_integral(f, "one") - 3.0 * linear_integral(g, "one"), rel=1e-12
+    assert integral("one", h) == pytest.approx(
+        2.0 * integral("one", f) - 3.0 * integral("one", g), rel=1e-12
     )
 
 
@@ -97,67 +101,52 @@ def test_linear_integral_validation():
         Kernel("gaussian", sigma=1.0, dim=2), np.array([[0.5, 0.5]]), np.array([1.0])
     )
     with pytest.raises(UnsupportedConfigurationError):
-        linear_integral(f2, "one")
+        integral("one", f2)
     with pytest.raises(ArgumentError):
-        linear_integral(bump(0.5), "one", quadrature_points=10)
+        integral("one", bump(0.5), quadrature_points=10)
     with pytest.raises(ArgumentError):
-        linear_integral(bump(0.5), "cos")
-
-
-def test_quadrature_error_estimate():
-    f = bump(0.4)
-    est_coarse = quadrature_error_estimate(f, "one", 65)
-    est_fine = quadrature_error_estimate(f, "one", 257)
-    assert est_coarse >= est_fine >= 0.0
-    assert est_coarse < 1e-8
+        integral("cos", bump(0.5))
 
 
 def test_gflm_map_frozen():
-    assert gflm_map(bump(0.3), "sin2pi", "tanh") == pytest.approx(
-        0.029730758861192964, abs=5e-10
-    )
+    gf = TargetFunctional(kind="gflm", beta="sin2pi", link="tanh")
+    assert gf.value(bump(0.3)) == pytest.approx(0.029730758861192964, abs=5e-10)
     # identity link reduces to the linear integral
-    assert gflm_map(bump(0.3), "sin2pi", "identity") == pytest.approx(
-        linear_integral(bump(0.3), "sin2pi"), rel=1e-14
-    )
+    ident = TargetFunctional(kind="gflm", beta="sin2pi", link="identity")
+    assert ident.value(bump(0.3)) == integral("sin2pi", bump(0.3))
     with pytest.raises(ArgumentError):
-        gflm_map(bump(0.3), "sin2pi", "relu")
+        TargetFunctional(kind="gflm", beta="sin2pi", link="relu")
 
 
 def test_gflm_holder_constant():
     # Lip(link) * ||beta||_L2 * kappa
-    assert gflm_holder_constant(GAUSS, "sin2pi", "tanh") == pytest.approx(
-        math.sqrt(0.5), rel=1e-13
-    )
-    assert gflm_holder_constant(GAUSS, "sin2pi", "logistic") == pytest.approx(
-        0.25 * math.sqrt(0.5), rel=1e-13
-    )
+    def c_f(kernel, beta, link):
+        return TargetFunctional(kind="gflm", beta=beta, link=link).holder_constant(kernel)
+
+    assert c_f(GAUSS, "sin2pi", "tanh") == pytest.approx(math.sqrt(0.5), rel=1e-13)
+    assert c_f(GAUSS, "sin2pi", "logistic") == pytest.approx(0.25 * math.sqrt(0.5), rel=1e-13)
     sob = Kernel("sobolev", r=1.0, dim=1)
-    assert gflm_holder_constant(sob, "one", "identity") == pytest.approx(
-        math.sqrt(math.pi), rel=1e-13
-    )
+    assert c_f(sob, "one", "identity") == pytest.approx(math.sqrt(math.pi), rel=1e-13)
 
 
 def test_l2_energy_frozen():
     # || exp(-(t-1/2)^2/2) ||_{L2}^2 = int_0^1 exp(-(t-1/2)^2) dt
-    assert l2_energy(bump(0.5)) == pytest.approx(0.9225620128255848, abs=1e-10)
-    from rfl import linear_combination
-
+    assert energy(bump(0.5)) == pytest.approx(0.9225620128255848, abs=1e-10)
     doubled = linear_combination([bump(0.5)], [2.0])
-    assert l2_energy(doubled) == pytest.approx(4.0 * l2_energy(bump(0.5)), rel=1e-12)
+    assert energy(doubled) == pytest.approx(4.0 * energy(bump(0.5)), rel=1e-12)
 
 
 def test_ode_solution_map_pure_integral():
     # rhs "u": h(b) = h0 + int_0^1 f, with the frozen quad value
-    got = ode_solution_map(bump(0.5), "u", 0.0, 1.0, 2.0, 64)
+    got = ode_map("u", 0.0, 1.0, 2.0, 64).value(bump(0.5))
     assert got == pytest.approx(2.9598504379197683, abs=1e-9)
 
 
 def test_ode_solution_map_exponential():
     # rhs "h" ignores f: h(1) = e
-    got = ode_solution_map(bump(0.5), "h", 0.0, 1.0, 1.0, 64)
+    got = ode_map("h", 0.0, 1.0, 1.0, 64).value(bump(0.5))
     assert got == pytest.approx(2.718281828459045, abs=1e-7)
-    finer = ode_solution_map(bump(0.5), "h", 0.0, 1.0, 1.0, 256)
+    finer = ode_map("h", 0.0, 1.0, 1.0, 256).value(bump(0.5))
     assert abs(finer - math.e) < abs(got - math.e)
 
 
@@ -172,57 +161,142 @@ def test_ode_solution_map_matches_scipy(rhs):
     ref = solve_ivp(
         field, (0.0, 1.0), [1.5], rtol=1e-10, atol=1e-12, dense_output=False
     ).y[0, -1]
-    got = ode_solution_map(f, rhs, 0.0, 1.0, 1.5, 128)
+    got = ode_map(rhs, 0.0, 1.0, 1.5, 128).value(f)
     assert got == pytest.approx(float(ref), abs=1e-6)
 
 
 def test_ode_solution_map_validation():
     with pytest.raises(ArgumentError):
-        ode_solution_map(bump(0.5), "u", 0.0, 1.0, 1.0, 8)
+        ode_map("u", 0.0, 1.0, 1.0, 8)
     with pytest.raises(ArgumentError):
-        ode_solution_map(bump(0.5), "u", 1.0, 0.0, 1.0, 64)
+        ode_map("u", 1.0, 0.0, 1.0, 64)
     with pytest.raises(ArgumentError):
-        ode_solution_map(bump(0.5), "cube", 0.0, 1.0, 1.0, 64)
+        ode_map("cube", 0.0, 1.0, 1.0, 64)
+    f2 = RkhsFunction(
+        Kernel("gaussian", sigma=1.0, dim=2), np.array([[0.5, 0.5]]), np.array([1.0])
+    )
+    with pytest.raises(UnsupportedConfigurationError):
+        ode_map("u", 0.0, 1.0, 1.0, 64).value(f2)
 
 
 def test_ode_solution_map_divergence():
     with pytest.raises(DivergenceError):
-        ode_solution_map(bump(0.5), "h", 0.0, 1.0, 1e308, 64)
-
-
-def test_ode_error_estimate():
-    est64 = ode_error_estimate(bump(0.5), "h", 0.0, 1.0, 1.0, 64)
-    est128 = ode_error_estimate(bump(0.5), "h", 0.0, 1.0, 1.0, 128)
-    assert est64 > est128 > 0.0
-    # fourth-order method: halving the step cuts the estimate about 16x
-    assert 8.0 < est64 / est128 < 32.0
+        ode_map("h", 0.0, 1.0, 1e308, 64).value(bump(0.5))
 
 
 def test_ode_holder_constant_frozen():
-    assert ode_holder_constant(GAUSS, "u", 0.0, 1.0, 2.0) == 1.0
-    assert ode_holder_constant(GAUSS, "h", 0.0, 1.0, 2.0) == 0.0
-    assert ode_holder_constant(GAUSS, "u_minus_h", 0.0, 1.0, 2.0) == 1.0
-    assert ode_holder_constant(GAUSS, "sin_u_times_h", 0.0, 1.0, 2.0) == pytest.approx(
+    assert ode_map("u", 0.0, 1.0, 2.0, 64).holder_constant(GAUSS) == 1.0
+    assert ode_map("h", 0.0, 1.0, 2.0, 64).holder_constant(GAUSS) == 0.0
+    assert ode_map("u_minus_h", 0.0, 1.0, 2.0, 64).holder_constant(GAUSS) == 1.0
+    assert ode_map("sin_u_times_h", 0.0, 1.0, 2.0, 64).holder_constant(GAUSS) == pytest.approx(
         2.0 * math.e, rel=1e-14
     )
-    with pytest.raises(ArgumentError):
-        ode_holder_constant(GAUSS, "u", 1.0, 1.0, 2.0)
-    with pytest.raises(ArgumentError):
-        ode_holder_constant(GAUSS, "cube", 0.0, 1.0, 2.0)
 
 
-def test_target_functional_dispatch():
-    f = bump(0.3)
-    lin = TargetFunctional(kind="linear_integral", beta="sin2pi")
-    assert lin.value(f) == linear_integral(f, "sin2pi")
-    gf = TargetFunctional(kind="gflm", beta="sin2pi", link="tanh")
-    assert gf.value(f) == gflm_map(f, "sin2pi", "tanh")
-    en = TargetFunctional(kind="l2_energy")
-    assert en.value(f) == l2_energy(f)
-    ode = TargetFunctional(
-        kind="ode_map", ode={"rhs": "u", "a": 0.0, "b": 1.0, "h0": 2.0, "steps": 64}
-    )
-    assert ode.value(f) == ode_solution_map(f, "u", 0.0, 1.0, 2.0, 64)
+# The arithmetic of the free functions that TargetFunctional used to dispatch
+# to, kept verbatim as an oracle for the bit-identity test below.
+def _old_simpson_weights(n):
+    h = 1.0 / (n - 1)
+    w = np.full(n, 2.0)
+    w[1::2] = 4.0
+    w[0] = w[-1] = 1.0
+    return w * (h / 3.0)
+
+
+def _old_beta_values(beta, t):
+    return BETAS[beta][0](t) if isinstance(beta, str) else beta.eval_at(t[:, None])
+
+
+def _old_linear_integral(f, beta, n):
+    t = np.linspace(0.0, 1.0, n)
+    integrand = f.eval_at(t[:, None]) * _old_beta_values(beta, t)
+    return float(_old_simpson_weights(n) @ integrand)
+
+
+def _old_l2_energy(f, n):
+    t = np.linspace(0.0, 1.0, n)
+    vals = f.eval_at(t[:, None])
+    return float(_old_simpson_weights(n) @ (vals * vals))
+
+
+def _old_rk4(f, rhs_name, a, b, h0, steps):
+    rhs = ODE_RHS[rhs_name]
+    dx = (b - a) / steps
+    xs = a + np.arange(2 * steps + 1) * (dx / 2.0)
+    us = f.eval_at(xs[:, None])
+    h = float(h0)
+    for i in range(steps):
+        x = xs[2 * i]
+        u0, um, u1 = us[2 * i], us[2 * i + 1], us[2 * i + 2]
+        k1 = rhs(x, u0, h)
+        k2 = rhs(x + dx / 2.0, um, h + dx * k1 / 2.0)
+        k3 = rhs(x + dx / 2.0, um, h + dx * k2 / 2.0)
+        k4 = rhs(x + dx, u1, h + dx * k3)
+        h = h + (dx / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return h
+
+
+def _old_beta_l2_norm(beta):
+    if isinstance(beta, str):
+        return BETAS[beta][1]
+    t = np.linspace(0.0, 1.0, 257)
+    vals = _old_beta_values(beta, t)
+    return float(math.sqrt(max(_old_simpson_weights(257) @ (vals * vals), 0.0)))
+
+
+def _old_value(tf, f):
+    n = tf.quadrature_points
+    if tf.kind == "linear_integral":
+        return _old_linear_integral(f, tf.beta, n)
+    if tf.kind == "gflm":
+        return float(LINKS[tf.link][0](_old_linear_integral(f, tf.beta, n)))
+    if tf.kind == "l2_energy":
+        return _old_l2_energy(f, n)
+    o = tf.ode
+    return _old_rk4(f, o["rhs"], float(o["a"]), float(o["b"]), float(o["h0"]), int(o["steps"]))
+
+
+def _old_holder_constant(tf, kernel):
+    if tf.kind == "linear_integral":
+        return _old_beta_l2_norm(tf.beta) * kernel.kappa()
+    if tf.kind == "gflm":
+        return LINKS[tf.link][1] * _old_beta_l2_norm(tf.beta) * kernel.kappa()
+    if tf.kind == "l2_energy":
+        return 2.0 * kernel.kappa()
+    o = tf.ode
+    span = float(o["b"]) - float(o["a"])
+    if o["rhs"] in ("u", "u_minus_h"):
+        return span
+    if o["rhs"] == "h":
+        return 0.0
+    return abs(float(o["h0"])) * math.exp(span) * span
+
+
+def _bit_identity_cases():
+    weight = RkhsFunction(GAUSS, np.array([[0.2], [0.7]]), np.array([1.0, -0.5]))
+    cases = [TargetFunctional(kind="gflm", beta="sin2pi", link=link) for link in sorted(LINKS)]
+    for beta in ("one", "sin2pi", weight):
+        for n in (257, 129, 33):
+            cases.append(TargetFunctional(kind="linear_integral", beta=beta, quadrature_points=n))
+    cases.append(TargetFunctional(kind="gflm", beta=weight, link="logistic", quadrature_points=65))
+    cases += [TargetFunctional(kind="l2_energy", quadrature_points=n) for n in (257, 33)]
+    for rhs in sorted(ODE_RHS):
+        cases.append(ode_map(rhs, -0.25, 1.0, 1.5, 48))
+    assert {tf.kind for tf in cases} == set(FUNCTIONAL_KINDS)
+    return cases
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [GAUSS, Kernel("sobolev", r=1.25, dim=1), Kernel("inverse_multiquadric", sigma=1.0, dim=1)],
+    ids=["gaussian", "sobolev", "imq"],
+)
+def test_target_functional_bit_identical_to_free_function_arithmetic(kernel):
+    fs = [sample_unit_ball(kernel, 10, 0.8, seed) for seed in range(5)]
+    for tf in _bit_identity_cases():
+        for f in fs:
+            assert tf.value(f).hex() == _old_value(tf, f).hex(), tf
+        assert tf.holder_constant(kernel).hex() == _old_holder_constant(tf, kernel).hex(), tf
 
 
 def test_target_functional_holder_data():
@@ -233,10 +307,7 @@ def test_target_functional_holder_data():
     assert en.holder_constant(GAUSS) == pytest.approx(2.0, rel=1e-14)
     lin = TargetFunctional(kind="linear_integral", beta="one")
     assert lin.holder_constant(GAUSS) == pytest.approx(1.0, rel=1e-14)
-    ode = TargetFunctional(
-        kind="ode_map", ode={"rhs": "u", "a": 0.0, "b": 1.0, "h0": 2.0, "steps": 64}
-    )
-    assert ode.holder_constant(GAUSS) == 1.0
+    assert ode_map("u", 0.0, 1.0, 2.0, 64).holder_constant(GAUSS) == 1.0
 
 
 def test_target_functional_validation():
@@ -252,6 +323,32 @@ def test_target_functional_validation():
         TargetFunctional(kind="ode_map", ode={"rhs": "u", "a": 0.0, "b": 1.0})
     with pytest.raises(ArgumentError):
         TargetFunctional(kind="l2_energy", quadrature_points=12)
+    # every setting is checked at construction, before any value() call
+    weight2 = RkhsFunction(
+        Kernel("gaussian", sigma=1.0, dim=2), np.array([[0.5, 0.5]]), np.array([1.0])
+    )
+    for kind in ("linear_integral", "gflm"):
+        for beta in ("cos", 1.0, np.ones(3), weight2):
+            with pytest.raises(ArgumentError):
+                TargetFunctional(kind=kind, beta=beta, link="tanh")
+    good = {"rhs": "u", "a": 0.0, "b": 1.0, "h0": 1.0, "steps": 64}
+    for key, bad in [
+        ("rhs", "cube"),
+        ("rhs", ["u"]),
+        ("steps", 8),
+        ("steps", 64.0),
+        ("b", 0.0),
+        ("b", -1.0),
+        ("a", math.nan),
+        ("b", math.inf),
+        ("h0", math.nan),
+        ("h0", -math.inf),
+        ("a", "0"),
+        ("h0", True),
+        ("b", 10**400),
+    ]:
+        with pytest.raises(ArgumentError):
+            TargetFunctional(kind="ode_map", ode={**good, key: bad})
     assert set(FUNCTIONAL_KINDS) == {"linear_integral", "gflm", "ode_map", "l2_energy"}
 
 
@@ -260,10 +357,7 @@ def test_target_functional_json_roundtrip():
         TargetFunctional(kind="linear_integral", beta="one"),
         TargetFunctional(kind="gflm", beta="sin2pi", link="logistic"),
         TargetFunctional(kind="l2_energy", quadrature_points=129),
-        TargetFunctional(
-            kind="ode_map",
-            ode={"rhs": "sin_u_times_h", "a": 0.0, "b": 1.0, "h0": 1.5, "steps": 64},
-        ),
+        ode_map("sin_u_times_h", 0.0, 1.0, 1.5, 64),
     ]
     for tf in cases:
         back = TargetFunctional.from_json(tf.to_json())

@@ -211,6 +211,12 @@ def test_gradient_rejects_column_targets():
         gradient(net, X, y[:, None])
 
 
+def test_gradient_rejects_feature_count_mismatch():
+    # five features for a two-input network, rejected as forward_batch rejects them
+    with pytest.raises(ArgumentError):
+        gradient(init(2, (3, 3), seed=0), np.zeros((3, 5)), np.zeros(3))
+
+
 def test_loss_mse_rejects_target_length_mismatch():
     net, X, y = _four_rows()
     with pytest.raises(ArgumentError):
