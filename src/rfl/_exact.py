@@ -4,10 +4,11 @@ Flat kernels on fine grids produce Gram matrices whose smallest eigenvalue
 and near-node Schur complements sit far below the double-precision noise
 floor; the rounded matrix itself can even be indefinite while the true one
 is positive definite.  The routines here rebuild the few affected scalars
-from exact node coordinates with mpmath.  They are called only by
-:mod:`rkhs` and :mod:`spectral`, and only after a double-precision attempt
-has been measured against its own noise floor, and only for kernels whose
-profile has a closed form here (see :func:`supports`).
+from exact node coordinates with mpmath, for kernels whose profile has a
+closed form here (see :func:`supports` and :func:`supports_grid`).
+:mod:`rkhs` escalates Schur values after measuring a double-precision
+attempt against its noise floor; :mod:`spectral` takes grid eigenvalues
+from here directly.
 
 Every call runs in its own ``mpmath.MPContext`` at ``_DPS`` digits, so the
 process-wide ``mpmath.mp`` precision is never read or written and
@@ -28,7 +29,7 @@ from __future__ import annotations
 import mpmath
 import numpy as np
 
-from .errors import UnsupportedConfigurationError
+from .errors import SingularGramError, UnsupportedConfigurationError
 from .kernels import GAUSSIAN, INVERSE_MULTIQUADRIC, SOBOLEV, Kernel
 
 _DPS = 50
@@ -44,6 +45,11 @@ def supports(kernel: Kernel) -> bool:
     extended-precision recomputation of such a kernel can be meaningful.
     """
     return kernel.family != SOBOLEV or kernel.r in (1, 2)
+
+
+def supports_grid(kernel: Kernel, d: int) -> bool:
+    """Whether :func:`grid_lambda_min` covers the grid: gaussian in any d, the rest in d = 1."""
+    return kernel.family == GAUSSIAN or (d == 1 and supports(kernel))
 
 
 def _context() -> mpmath.MPContext:
@@ -89,22 +95,21 @@ def grid_lambda_min(kernel: Kernel, m: int, d: int) -> float:
     power of the one-dimensional Gram (a product kernel on a full lattice),
     so the smallest eigenvalue in dimension d is the d-th power of the
     one-dimensional one.  That identity is exact, not an approximation, and
-    keeps the mp eigensolve at size m+1 instead of (m+1)^d.
+    keeps the mp eigensolve at size m+1 instead of (m+1)^d.  A 1-D value
+    that is not positive (every digit cancelled) raises SingularGramError.
     """
-    ctx = _context()
-    if kernel.family == GAUSSIAN:
-        one_d = Kernel(GAUSSIAN, sigma=kernel.sigma, dim=1)
-        K = _gram_mp(ctx, one_d, _grid_coords_1d(ctx, m))
-        lam = min(ctx.eigsy(K, eigvals_only=True))
-        return float(lam**d)
-    if d != 1:
+    if not supports_grid(kernel, d):
         raise UnsupportedConfigurationError(
-            "extended-precision eigenvalues for d > 1 exist only for the "
-            "gaussian family"
+            f"no extended-precision grid eigenvalue for {kernel.family} in d={d}"
         )
+    ctx = _context()
     K = _gram_mp(ctx, kernel, _grid_coords_1d(ctx, m))
     lam = min(ctx.eigsy(K, eigvals_only=True))
-    return float(lam)
+    if lam <= 0:
+        raise SingularGramError(
+            f"extended-precision 1-D grid eigenvalue {float(lam):.3e} at m={m} is not positive"
+        )
+    return float(lam**d)
 
 
 def schur_values(kernel: Kernel, nodes: np.ndarray, xs: np.ndarray) -> np.ndarray:

@@ -6,9 +6,9 @@ schema that rejects unknown keys; individual flags, spelled in full (no
 prefix abbreviations), override file values.
 The flags, their merge into the config and the schemas all come from ``_OPTIONS``.
 Outputs land under ``--out``, or ``$RFL_OUT_DIR/<command>``, or
-``./rfl_out/<command>``: a ``report.json`` echoing the merged config,
-``tables/*.csv``, and ``plots/*.svg`` when ``--plots`` is given.  CSV
-files are byte-identical across reruns of the same config and seed.
+``./rfl_out/<command>``: a ``report.json`` echoing the merged config less
+``output_dir``, ``tables/*.csv``, and ``plots/*.svg`` when ``--plots`` is
+given.  CSV files are byte-identical across reruns of the same config and seed.
 
 Exit codes: 0 on success, 2 on configuration or argument errors, 3 on
 numerical failures (singular Gram matrix, divergence).
@@ -516,11 +516,13 @@ def run(argv=None) -> int:
     try:
         cfg = _merge_config(args)
         _validate(cfg, args.command)
+        # the report records the computation, not where it is written
+        outdir = _resolve_out(cfg, args.command)
+        cfg.pop("output_dir", None)
         payload, tables, plots = _HANDLERS[args.command](cfg)
         if not cfg.get("plots"):
             plots = {}
         svgs = {name: line_plot_svg(*spec) for name, spec in plots.items()}
-        outdir = _resolve_out(cfg, args.command)
         write_outputs(outdir, payload, tables, svgs)
         print(outdir)
         return 0

@@ -188,7 +188,16 @@ class TargetFunctional:
             if o["rhs"] == "h":
                 return 0.0
             if o["rhs"] == "sin_u_times_h":
-                return abs(float(o["h0"])) * math.exp(span) * span
+                try:
+                    c = abs(float(o["h0"])) * math.exp(span) * span
+                except OverflowError:
+                    c = math.inf
+                if not math.isfinite(c):
+                    raise ArgumentError(
+                        f"sin_u_times_h Hölder constant |h0| e^(b-a) (b-a) overflows "
+                        f"for the span b - a = {span!r}"
+                    )
+                return c
             return span
         if isinstance(self.beta, str):
             norm = BETAS[self.beta][1]

@@ -205,6 +205,24 @@ def test_numerical_failure_exits_3(tmp_path):
     assert code == 3
 
 
+def test_non_positive_extended_eigenvalue_exits_3(tmp_path, capsys):
+    # at m=32 the 50-digit eigensolve of the gaussian grid Gram loses every digit
+    argv = ["eigen", "--kernel", "gaussian", "--sigma", "1", "--d", "1", "--m-list", "24,32"]
+    assert run([*argv, "--out", str(tmp_path / "e")]) == 3
+    assert "not positive" in capsys.readouterr().err
+    assert not (tmp_path / "e").exists()
+
+
+def test_report_does_not_depend_on_output_path(tmp_path):
+    argv = ["eigen", "--kernel", "sobolev", "--r", "1", "--d", "1", "--m-list", "1,2,3"]
+    short, long = tmp_path / "pass9", tmp_path / "pass10" / "a-longer-directory-name"
+    assert run([*argv, "--out", str(short)]) == 0
+    assert run([*argv, "--out", str(long)]) == 0
+    for name in ("report.json", "tables/eigen.csv"):
+        assert (short / name).read_bytes() == (long / name).read_bytes(), name
+    assert "output_dir" not in json.loads(read(short / "report.json"))["config"]
+
+
 def test_project_certified_bound(tmp_path):
     out = tmp_path / "proj"
     code = run(
@@ -455,7 +473,8 @@ def test_finite_report_has_no_non_finite_key(tmp_path):
 KERNEL_ALL = ["--kernel", "inverse_multiquadric", "--sigma", "0.5", "--beta", "2", "--r", "1.5", "--d", "2"]
 KERNEL_ALL_CFG = {"family": "inverse_multiquadric", "sigma": 0.5, "beta": 2.0, "r": 1.5, "dim": 2}
 COMMON_ALL = ["--out", "{tmp}/o", "--seed", "7", "--threads", "2", "--plots"]
-COMMON_ALL_CFG = {"output_dir": "{tmp}/o", "seed": 7, "threads": 2, "plots": True}
+# the output directory is resolved first and left out of the echoed config
+COMMON_ALL_CFG = {"seed": 7, "threads": 2, "plots": True}
 TRAIN_ALL = ["--widths", "8,6", "--epochs", "3", "--batch-size", "5", "--lr", "0.01",
              "--lr-schedule", "constant", "--n-samples", "30"]
 TRAIN_ALL_CFG = {"widths": [8, 6], "epochs": 3, "batch_size": 5, "learning_rate": 0.01,
@@ -500,8 +519,7 @@ MERGE_CASES = [
         ["project", "--config", "{cfg}", "--seed", "0", "--out", "{tmp}/flag"],
         {"kernel": {"family": "gaussian"}, "m": 2, "seed": 9, "output_dir": "{tmp}/file",
          "plots": False},
-        {"kernel": {"family": "gaussian"}, "m": 2, "seed": 0, "output_dir": "{tmp}/flag",
-         "plots": False},
+        {"kernel": {"family": "gaussian"}, "m": 2, "seed": 0, "plots": False},
     ),
     (
         ["train", *COMMON_ALL, *KERNEL_ALL, *TRAIN_ALL, "--m", "2", "--weight", "one",
@@ -575,8 +593,11 @@ def test_flags_and_config_file_merge_into_the_echoed_config(
     if file_cfg is not None:
         (tmp_path / "cfg.json").write_text(json.dumps(_fill(file_cfg, tmp_path)))
     expected = _fill(expected, tmp_path)
-    assert _echo_run(_fill(argv, tmp_path), tmp_path, monkeypatch) == 0
-    out = Path(expected.get("output_dir") or tmp_path / "env" / argv[0])
+    argv = _fill(argv, tmp_path)
+    assert _echo_run(argv, tmp_path, monkeypatch) == 0
+    # --out wins over a file's output_dir, so the report is only found there
+    flags = dict(zip(argv, argv[1:]))
+    out = Path(flags.get("--out") or tmp_path / "env" / argv[0])
     config = json.loads(read(out / "report.json"))["config"]
     # compared as canonical JSON text, so 1 and 1.0 differ
     assert json.dumps(config, sort_keys=True) == json.dumps(expected, sort_keys=True)

@@ -15,7 +15,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from rfl import Kernel, _exact, rate_study_power, uniform_grid
+from rfl import Kernel, UnsupportedConfigurationError, _exact, rate_study_power, uniform_grid
 
 GAUSS = Kernel("gaussian", sigma=1.0, dim=1)
 
@@ -106,3 +106,16 @@ def test_supports():
     assert _exact.supports(Kernel("sobolev", r=2.0, dim=1))
     assert not _exact.supports(Kernel("sobolev", r=1.25, dim=1))
     assert not _exact.supports(Kernel("sobolev", r=2.75, dim=1))
+
+
+def test_supports_grid():
+    imq = Kernel("inverse_multiquadric", sigma=1.0, beta=2.0, dim=1)
+    for d in (1, 2, 3):
+        assert _exact.supports_grid(Kernel("gaussian", sigma=0.5, dim=d), d)
+    assert _exact.supports_grid(imq, 1)
+    assert _exact.supports_grid(Kernel("sobolev", r=2.0, dim=1), 1)
+    assert not _exact.supports_grid(Kernel("sobolev", r=1.25, dim=1), 1)
+    imq2 = Kernel("inverse_multiquadric", sigma=1.0, beta=2.0, dim=2)
+    assert not _exact.supports_grid(imq2, 2)
+    with pytest.raises(UnsupportedConfigurationError):
+        _exact.grid_lambda_min(imq2, 3, 2)

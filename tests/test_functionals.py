@@ -349,6 +349,12 @@ def test_target_functional_validation():
     ]:
         with pytest.raises(ArgumentError):
             TargetFunctional(kind="ode_map", ode={**good, key: bad})
+    # accepted, and value() is finite, but e^(b-a) overflows the float range
+    long_span = TargetFunctional(
+        kind="ode_map", ode={"rhs": "sin_u_times_h", "a": 0, "b": 800, "h0": 1, "steps": 64}
+    )
+    with pytest.raises(ArgumentError, match="800"):
+        long_span.holder_constant(GAUSS)
     assert set(FUNCTIONAL_KINDS) == {"linear_integral", "gflm", "ode_map", "l2_energy"}
 
 

@@ -1,9 +1,8 @@
-"""Eigensolver accuracy, the spectral lower bound, and growth constants.
+"""Eigenvalue routes, the spectral lower bound, and growth constants.
 
-The in-house Jacobi solver is checked against numpy's eigvalsh on random
-symmetric matrices and against hand-solved closed forms; extended-precision
-values for flat-kernel grids were frozen against an independent mpmath
-recomputation (60 digits, exact node coordinates).
+The double-precision solver is checked against hand-solved closed forms;
+extended-precision grid values were frozen against independent mpmath
+recomputations (60 and 80 digits, exact node coordinates).
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ import pytest
 from rfl import (
     ArgumentError,
     Kernel,
-    ResourceLimitError,
     SingularGramError,
     SpectralReport,
     UnsupportedConfigurationError,
@@ -29,8 +27,11 @@ from rfl import (
     smallest_eigenvalue,
     uniform_grid,
 )
+from rfl._exact import grid_lambda_min
+from rfl.spectral import EXTENDED_MAX_M
 
 GAUSS = Kernel("gaussian", sigma=1.0, dim=1)
+SOB1 = Kernel("sobolev", r=1.0, dim=1)
 
 
 def test_smallest_eigenvalue_frozen():
@@ -64,16 +65,14 @@ def test_smallest_eigenvalue_validation():
         smallest_eigenvalue(np.zeros((2, 3)))
     with pytest.raises(ArgumentError):
         smallest_eigenvalue(np.array([[1.0, 2.0], [0.0, 1.0]]))
-    with pytest.raises(ResourceLimitError):
-        smallest_eigenvalue(np.eye(513))
     assert smallest_eigenvalue(np.eye(16)) == pytest.approx(1.0, rel=1e-14)
 
 
-def test_lambda_min_accurate_small_grid_uses_jacobi():
+def test_lambda_min_accurate_small_grid_uses_extended():
     grid = uniform_grid(2, 1)
     system = build_gram(GAUSS, grid)
     lam, method = lambda_min_accurate(GAUSS, grid, system.gram)
-    assert method == "jacobi"
+    assert method == "extended"
     assert lam == pytest.approx(float(np.linalg.eigvalsh(system.gram).min()), rel=1e-10)
 
 
@@ -91,6 +90,120 @@ def test_lambda_min_accurate_extended_frozen():
     assert lam12 == pytest.approx(2.202265092616178e-24, rel=1e-10)
 
 
+# criterion 4's 48 grids; each value is the float of an independent 80-digit
+# mpmath eigensolve from exact node coordinates (perfbench/reference.json)
+CRITERION4_KERNELS = {
+    "gaussian_d1": Kernel("gaussian", sigma=1.0, dim=1),
+    "gaussian_d2": Kernel("gaussian", sigma=1.0, dim=2),
+    "sobolev_r1": Kernel("sobolev", r=1.0, dim=1),
+    "sobolev_r2": Kernel("sobolev", r=2.0, dim=1),
+}
+CRITERION4_HEX = {
+    "gaussian_d1": [
+        "0x1.92e9a0720d3ecp-2",
+        "0x1.35cdb1fdd7250p-6",
+        "0x1.97b18147d25d9p-12",
+        "0x1.515854caf96a7p-18",
+        "0x1.962f56bb8321bp-25",
+        "0x1.7fe35083379dep-32",
+        "0x1.2a65fe6ae3c04p-39",
+        "0x1.89cd12559609dp-47",
+        "0x1.c362657ec93fep-55",
+        "0x1.c9351c0614d14p-63",
+        "0x1.9ecfcac7e3c0fp-71",
+        "0x1.54c8b55506a46p-79",
+    ],
+    "gaussian_d2": [
+        "0x1.3d11488dd2e20p-3",
+        "0x1.76ea34f555aafp-12",
+        "0x1.44a2f21332bffp-23",
+        "0x1.bc89adb8cc4b9p-36",
+        "0x1.423d17eddd15dp-49",
+        "0x1.1fd4fa604138ap-63",
+        "0x1.5bd19cf3976b9p-78",
+        "0x1.2ee3a34892865p-93",
+        "0x1.8df1ebb74b334p-109",
+        "0x1.9847548929f49p-125",
+        "0x1.50125e440a433p-141",
+        "0x1.c5a5bf05aef07p-158",
+    ],
+    "sobolev_r1": [
+        "0x1.915f7772aa809p+1",
+        "0x1.79ebd29dc5d84p+1",
+        "0x1.473062e622b8cp+1",
+        "0x1.1379302259f84p+1",
+        "0x1.d1eff6c996be9p+0",
+        "0x1.8fc2715d9aa89p+0",
+        "0x1.5c5dcbfc28064p+0",
+        "0x1.33e66082d56fep+0",
+        "0x1.13769446f9d54p+0",
+        "0x1.f1ff5cc98ad32p-1",
+        "0x1.c61bc15b23c18p-1",
+        "0x1.a12fcde278e6bp-1",
+    ],
+    "sobolev_r2": [
+        "0x1.8ca793e7b85efp+0",
+        "0x1.2f0a7c2bb768cp+0",
+        "0x1.68fd98e9b4c71p-1",
+        "0x1.972f1f2dfd325p-2",
+        "0x1.d9d9a9a21512ap-3",
+        "0x1.23110d224c8cap-3",
+        "0x1.7977f8204d314p-4",
+        "0x1.00ae6a22364c6p-4",
+        "0x1.6b659d122af4ap-5",
+        "0x1.0a08045f5b608p-5",
+        "0x1.90a4265e47017p-6",
+        "0x1.34f39632ad28ep-6",
+    ],
+}
+
+
+def test_criterion4_eigenvalues_frozen():
+    for name, kernel in CRITERION4_KERNELS.items():
+        for m, want in enumerate(CRITERION4_HEX[name], start=1):
+            report = check_eigen_lower_bound(kernel, m)
+            assert report.method == "extended"
+            assert report.lambda_min.hex() == want, (name, m)
+
+
+def test_lambda_min_accurate_double_route():
+    # nodes without an extended route take eigvalsh when the value clears the floor
+    sob = Kernel("sobolev", r=1.0, dim=1)
+    nodes = halton_points(40, 1)
+    gram = build_gram(sob, nodes).gram
+    assert lambda_min_accurate(sob, nodes, gram) == (
+        float(np.linalg.eigvalsh(gram)[0]),
+        "eigvalsh",
+    )
+    for kernel, grid in (
+        (Kernel("sobolev", r=1.25, dim=1), uniform_grid(8, 1)),
+        (Kernel("inverse_multiquadric", sigma=1.0, beta=1.0, dim=2), uniform_grid(4, 2)),
+    ):
+        lam, method = lambda_min_accurate(kernel, grid, build_gram(kernel, grid).gram)
+        assert method == "eigvalsh"
+        assert lam > 0.0
+
+
+def test_lambda_min_accurate_past_extended_cap():
+    m = EXTENDED_MAX_M + 1
+    grid = uniform_grid(m, 1)
+    lam, method = lambda_min_accurate(SOB1, grid, build_gram(SOB1, grid).gram)
+    assert method == "eigvalsh"
+    assert lam == pytest.approx(grid_lambda_min(SOB1, m, 1), rel=1e-12)
+
+
+def test_non_positive_extended_eigenvalue_raises():
+    # at 50 digits the 1-D gaussian sigma=1 grid Gram at m=32 comes out
+    # indefinite (true value 6.7e-80); it must not become a negative
+    # eigenvalue or a negative Hölder constant
+    grid = uniform_grid(32, 1)
+    system = build_gram(GAUSS, grid)
+    with pytest.raises(SingularGramError, match="not positive"):
+        lambda_min_accurate(GAUSS, grid, system.gram)
+    with pytest.raises(SingularGramError):
+        holder_constant_G(system, 1.0, 1.0)
+
+
 def test_check_eigen_lower_bound_frozen_sobolev():
     report = check_eigen_lower_bound(Kernel("sobolev", r=1.0, dim=1), 2)
     # Gamma_2 = (1 + 1)^{-1} = 1/2, so the bound is m * Gamma_2 = 1
@@ -98,7 +211,7 @@ def test_check_eigen_lower_bound_frozen_sobolev():
     assert report.bound_satisfied
     assert report.bound_m_pow_d_satisfied
     assert report.lambda_min >= 1.0
-    assert report.method == "jacobi"
+    assert report.method == "extended"
     assert report.inv_op_norm == pytest.approx(1.0 / report.lambda_min, rel=1e-14)
 
 
