@@ -10,9 +10,22 @@ closed form here (see :func:`supports` and :func:`supports_grid`).
 attempt against its noise floor; :mod:`spectral` takes grid eigenvalues
 from here directly.
 
-Every call runs in its own ``mpmath.MPContext`` at ``_DPS`` digits, so the
-process-wide ``mpmath.mp`` precision is never read or written and
-concurrent callers cannot change each other's working precision.
+The kernel profiles, the Gram entries and the per-point substitutions run
+as direct ``mpmath.libmp`` calls on raw mpf tuples.  Each call is given the
+precision and the rounding mode (round to nearest) that the mpf operator it
+stands for would take from its context, and the calls run in the order the
+operator expressions evaluate, so the results are bit-identical to the
+object-level expressions while skipping their wrapper, context lookup and
+allocation costs.  The precision is an argument of every helper.  The one
+departure in form is ``e ** y``: mpf_pow takes ``log e`` afresh for every
+exponent that is not a half-integer, and here it is taken once per call at
+the same precision, which gives the same bits.
+
+libmp functions read no context state, so nothing here reads or writes the
+process-wide ``mpmath.mp`` precision and concurrent callers cannot change
+each other's working precision.  The node Gram is factored by
+``MPContext.cholesky`` and grid eigenvalues come from ``MPContext.eigsy``,
+each in a private context.
 
 :func:`schur_values` factors the node Gram once per call and then runs one
 forward and one back substitution per point.  The arithmetic is exactly
@@ -28,6 +41,27 @@ from __future__ import annotations
 
 import mpmath
 import numpy as np
+from mpmath.libmp import (
+    dps_to_prec,
+    from_float,
+    from_int,
+    fzero,
+    mpf_add,
+    mpf_div,
+    mpf_e,
+    mpf_exp,
+    mpf_log,
+    mpf_mul,
+    mpf_mul_int,
+    mpf_neg,
+    mpf_pi,
+    mpf_pow,
+    mpf_pow_int,
+    mpf_sqrt,
+    mpf_sub,
+    mpf_sum,
+    to_float,
+)
 
 from .errors import SingularGramError, UnsupportedConfigurationError
 from .kernels import GAUSSIAN, INVERSE_MULTIQUADRIC, SOBOLEV, Kernel
@@ -35,6 +69,8 @@ from .kernels import GAUSSIAN, INVERSE_MULTIQUADRIC, SOBOLEV, Kernel
 _DPS = 50
 # guard bits that mpmath's cholesky_solve adds for its factor and solves
 _GUARD_BITS = 10
+# round to nearest, the rounding mode of every MPContext's mpf operators
+_RND = "n"
 
 
 def supports(kernel: Kernel) -> bool:
@@ -52,40 +88,90 @@ def supports_grid(kernel: Kernel, d: int) -> bool:
     return kernel.family == GAUSSIAN or (d == 1 and supports(kernel))
 
 
-def _context() -> mpmath.MPContext:
+def _context(prec: int) -> mpmath.MPContext:
     ctx = mpmath.MPContext()
-    ctx.dps = _DPS
+    ctx.prec = prec
     return ctx
 
 
-def _profile_mp(ctx: mpmath.MPContext, kernel: Kernel, s2):
-    """Radial profile at a squared distance, in the precision of ``ctx``."""
+def _sum(terms, prec: int):
+    """Python's ``sum`` of mpf values: ``0 + t`` first, then one rounded add per term."""
+    terms = iter(terms)
+    acc = mpf_add(next(terms), fzero, prec, _RND)
+    for t in terms:
+        acc = mpf_add(acc, t, prec, _RND)
+    return acc
+
+
+def _sq_dist(a, b, prec: int):
+    """``sum((s - t) ** 2 for s, t in zip(a, b))`` on raw coordinates."""
+    return _sum(
+        (mpf_pow_int(mpf_sub(s, t, prec, _RND), 2, prec, _RND) for s, t in zip(a, b)), prec
+    )
+
+
+def _profile(kernel: Kernel, prec: int):
+    """The radial profile as a function of a raw squared distance, at ``prec`` bits.
+
+    Constants are rounded once here; each comment gives the mpf expression,
+    over the squared distance ``s2``, that the returned function reproduces.
+    """
+    e = mpf_e(prec, _RND)
+    # the log that mpf_pow takes at prec + 10 bits for a general exponent
+    log_e = mpf_log(e, prec + 10, _RND)
+
+    def e_pow(y):
+        # e ** y: integer and half-integer exponents take mpf_pow's own routes
+        if y[2] < -1:
+            return mpf_exp(mpf_mul(y, log_e), prec, _RND)
+        return mpf_pow(e, y, prec, _RND)
+
+    sigma2 = mpf_pow_int(from_float(float(kernel.sigma)), 2, prec, _RND)
     if kernel.family == GAUSSIAN:
-        return ctx.e ** (-s2 / (2 * ctx.mpf(kernel.sigma) ** 2))
+        # e ** (-s2 / (2 * mpf(sigma) ** 2))
+        den = mpf_mul_int(sigma2, 2, prec, _RND)
+        return lambda s2: e_pow(mpf_div(mpf_neg(s2, prec, _RND), den, prec, _RND))
     if kernel.family == INVERSE_MULTIQUADRIC:
-        return (ctx.mpf(kernel.sigma) ** 2 + s2) ** (-ctx.mpf(kernel.beta))
+        # (mpf(sigma) ** 2 + s2) ** (-mpf(beta))
+        neg_beta = mpf_neg(from_float(float(kernel.beta)), prec, _RND)
+        return lambda s2: mpf_pow(mpf_add(sigma2, s2, prec, _RND), neg_beta, prec, _RND)
+    pi = mpf_pi(prec, _RND)
+    minus_two_pi = mpf_mul_int(pi, -2, prec, _RND)
     if kernel.r == 1:
-        return ctx.pi * ctx.e ** (-2 * ctx.pi * ctx.sqrt(s2))
+        # pi * e ** (-2 * pi * sqrt(s2))
+        return lambda s2: mpf_mul(
+            pi, e_pow(mpf_mul(minus_two_pi, mpf_sqrt(s2, prec, _RND), prec, _RND)), prec, _RND
+        )
     if kernel.r == 2:
-        x = ctx.sqrt(s2)
-        return (ctx.pi / 2) * (1 + 2 * ctx.pi * x) * ctx.e ** (-2 * ctx.pi * x)
+        # (pi / 2) * (1 + 2 * pi * x) * e ** (-2 * pi * x) with x = sqrt(s2)
+        half_pi = mpf_div(pi, from_int(2), prec, _RND)
+        two_pi = mpf_mul_int(pi, 2, prec, _RND)
+        one = from_int(1)
+
+        def sobolev2(s2):
+            x = mpf_sqrt(s2, prec, _RND)
+            rise = mpf_add(mpf_mul(two_pi, x, prec, _RND), one, prec, _RND)
+            rise = mpf_mul(half_pi, rise, prec, _RND)
+            return mpf_mul(rise, e_pow(mpf_mul(minus_two_pi, x, prec, _RND)), prec, _RND)
+
+        return sobolev2
     raise UnsupportedConfigurationError(
         "extended-precision fallback only covers sobolev orders r in {1, 2}"
     )
 
 
-def _gram_mp(ctx: mpmath.MPContext, kernel: Kernel, coords):
+def _gram(profile, coords, prec: int) -> list:
+    """Raw Gram rows of ``profile`` over every pair of raw coordinate tuples."""
     n = len(coords)
-    K = ctx.matrix(n, n)
+    K = [[fzero] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            s2 = sum((a - b) ** 2 for a, b in zip(coords[i], coords[j]))
-            K[i, j] = K[j, i] = _profile_mp(ctx, kernel, s2)
+            K[i][j] = K[j][i] = profile(_sq_dist(coords[i], coords[j], prec))
     return K
 
 
-def _grid_coords_1d(ctx: mpmath.MPContext, m: int):
-    return [(ctx.mpf(i) / m,) for i in range(m + 1)]
+def _matrix(ctx: mpmath.MPContext, rows: list) -> mpmath.matrix:
+    return ctx.matrix([[ctx.make_mpf(v) for v in row] for row in rows])
 
 
 def grid_lambda_min(kernel: Kernel, m: int, d: int) -> float:
@@ -102,8 +188,11 @@ def grid_lambda_min(kernel: Kernel, m: int, d: int) -> float:
         raise UnsupportedConfigurationError(
             f"no extended-precision grid eigenvalue for {kernel.family} in d={d}"
         )
-    ctx = _context()
-    K = _gram_mp(ctx, kernel, _grid_coords_1d(ctx, m))
+    prec = dps_to_prec(_DPS)
+    ctx = _context(prec)
+    # node i / m, as mpf(i) / m
+    coords = [(mpf_div(from_int(i), from_int(m), prec, _RND),) for i in range(m + 1)]
+    K = _matrix(ctx, _gram(_profile(kernel, prec), coords, prec))
     lam = min(ctx.eigsy(K, eigvals_only=True))
     if lam <= 0:
         raise SingularGramError(
@@ -123,33 +212,37 @@ def schur_values(kernel: Kernel, nodes: np.ndarray, xs: np.ndarray) -> np.ndarra
     """
     nodes = np.atleast_2d(nodes)
     xs = np.atleast_2d(xs)
-    ctx = _context()
-    coords = [tuple(ctx.mpf(float(c)) for c in row) for row in nodes]
-    K = _gram_mp(ctx, kernel, coords)
-    diag = _profile_mp(ctx, kernel, ctx.mpf(0))
-    # K = L L^T, factored and solved in a context carrying the guard bits
-    hi = mpmath.MPContext()
-    hi.prec = ctx.prec + _GUARD_BITS
-    L = hi.cholesky(hi.matrix(K))
+    prec = dps_to_prec(_DPS)
+    hi = prec + _GUARD_BITS
+    profile = _profile(kernel, prec)
+    coords = [tuple(from_float(float(c)) for c in row) for row in nodes]
+    diag = profile(fzero)
+    # K = L L^T, factored in a context carrying the guard bits
+    hi_ctx = _context(hi)
+    L = hi_ctx.cholesky(_matrix(hi_ctx, _gram(profile, coords, prec)))
     n = len(coords)
-    lower = [[L[i, j] for j in range(i)] for i in range(n)]
-    upper = [[L[j, i] for j in range(i + 1, n)] for i in range(n)]
-    pivots = [L[i, i] for i in range(n)]
+    lower = [[L[i, j]._mpf_ for j in range(i)] for i in range(n)]
+    upper = [[L[j, i]._mpf_ for j in range(i + 1, n)] for i in range(n)]
+    pivots = [L[i, i]._mpf_ for i in range(n)]
     out = np.empty(xs.shape[0])
     for idx, row in enumerate(xs):
-        x = tuple(ctx.mpf(float(c)) for c in row)
-        k = [_profile_mp(ctx, kernel, sum((a - b) ** 2 for a, b in zip(c, x))) for c in coords]
-        # forward substitution L z = k as in cholesky_solve, then back
-        # substitution L^T y = z as in U_solve, both in place in y
-        y = [hi.convert(v) for v in k]
+        x = tuple(from_float(float(c)) for c in row)
+        k = [profile(_sq_dist(c, x, prec)) for c in coords]
+        # forward substitution L z = k as in cholesky_solve (an fsum of
+        # products per row), then back substitution L^T y = z as in
+        # U_solve, both in place in y at the guard precision
+        y = list(k)
         for i in range(n):
-            y[i] -= hi.fsum(l * z for l, z in zip(lower[i], y))
-            y[i] /= pivots[i]
+            dot = mpf_sum([mpf_mul(l, z, hi, _RND) for l, z in zip(lower[i], y)], hi, _RND)
+            y[i] = mpf_div(mpf_sub(y[i], dot, hi, _RND), pivots[i], hi, _RND)
         for i in range(n - 1, -1, -1):
             yi = y[i]
             for u, yj in zip(upper[i], y[i + 1 :]):
-                yi -= u * yj
-            y[i] = yi / pivots[i]
-        s = diag - sum(kv * yv for kv, yv in zip(k, y))
-        out[idx] = float(max(s, ctx.mpf(0)))
+                yi = mpf_sub(yi, mpf_mul(u, yj, hi, _RND), hi, _RND)
+            y[i] = mpf_div(yi, pivots[i], hi, _RND)
+        # k sits at the base precision, so k . y and the difference do too
+        dot = _sum((mpf_mul(kv, yv, prec, _RND) for kv, yv in zip(k, y)), prec)
+        s = mpf_sub(diag, dot, prec, _RND)
+        # max(s, 0): a negative residue (sign bit set) clamps to zero
+        out[idx] = 0.0 if s[0] else to_float(s, rnd=_RND)
     return out

@@ -113,7 +113,10 @@ _OPTIONS = {
     ),
     "threads": (
         "--threads",
-        {"help": "worker threads for per-grid-size studies (default 1 for reproducibility)"},
+        {
+            "help": "worker threads for per-grid-size studies (default 1 for reproducibility); "
+            "rates and eigen only, the other commands accept just 1"
+        },
         _POS_INT,
     ),
     "plots": (
@@ -197,6 +200,10 @@ _COMMAND_SCHEMAS = {command: _command_schema(keys) for command, (_, keys) in _CO
 # eigen's --d sets both kernel.dim and this top-level d (see _merge_config)
 _COMMAND_SCHEMAS["eigen"]["properties"]["d"] = _POS_INT
 _COMMAND_SCHEMAS["rates"]["properties"]["m_list"] = {**_M_LIST, "minItems": 4}
+# only rates and eigen run per-grid-size studies on threads; the other
+# commands accept --threads 1 and reject any other count
+for _command in ("project", "train", "flm", "meta"):
+    _COMMAND_SCHEMAS[_command]["properties"]["threads"] = {**_POS_INT, "maximum": 1}
 
 
 def _merge_config(args: argparse.Namespace) -> dict:

@@ -13,9 +13,11 @@ used is recorded on the system.  Power-function values are Schur complements
 computed in double precision; when a system is unjittered and the computed
 values fall below the double-precision noise floor, the affected batch is
 recomputed from exact node coordinates in extended precision (see
-:mod:`rfl._exact`), which factors the node Gram once per batch in a
-private mpmath context and so is safe under worker threads.  Jittered
-systems never escalate: their Schur complement is an upper bound for the
+:mod:`rfl._exact`).  That path factors the node Gram once per batch and
+runs the kernel profile and the per-point solves as raw ``mpmath.libmp``
+calls at an explicit precision, bit for bit the mpf operator arithmetic;
+it reads no shared mpmath state and so is safe under worker threads.
+Jittered systems never escalate: their Schur complement is an upper bound for the
 exact one and sits safely above the noise.  Spline kernels (sobolev orders
 other than r in {1, 2}) are only accurate to double precision and never
 escalate either: their entries below the floor are raised to the floor.

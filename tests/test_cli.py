@@ -475,6 +475,9 @@ KERNEL_ALL_CFG = {"family": "inverse_multiquadric", "sigma": 0.5, "beta": 2.0, "
 COMMON_ALL = ["--out", "{tmp}/o", "--seed", "7", "--threads", "2", "--plots"]
 # the output directory is resolved first and left out of the echoed config
 COMMON_ALL_CFG = {"seed": 7, "threads": 2, "plots": True}
+# project, train, flm and meta run on one thread and accept only --threads 1
+ONE_THREAD_ALL = ["--out", "{tmp}/o", "--seed", "7", "--threads", "1", "--plots"]
+ONE_THREAD_ALL_CFG = {**COMMON_ALL_CFG, "threads": 1}
 TRAIN_ALL = ["--widths", "8,6", "--epochs", "3", "--batch-size", "5", "--lr", "0.01",
              "--lr-schedule", "constant", "--n-samples", "30"]
 TRAIN_ALL_CFG = {"widths": [8, 6], "epochs": 3, "batch_size": 5, "learning_rate": 0.01,
@@ -509,10 +512,10 @@ MERGE_CASES = [
         {"kernel": {"family": "sobolev", "sigma": 2.0, "dim": 1, "r": 1.0}, "m_list": [1, 2], "d": 1},
     ),
     (
-        ["project", *COMMON_ALL, *KERNEL_ALL, "--m", "3", "--n-samples", "4", "--n-centers", "5",
+        ["project", *ONE_THREAD_ALL, *KERNEL_ALL, "--m", "3", "--n-samples", "4", "--n-centers", "5",
          "--eval-resolution", "6"],
         None,
-        {**COMMON_ALL_CFG, "kernel": KERNEL_ALL_CFG, "m": 3, "n_samples": 4, "n_centers": 5,
+        {**ONE_THREAD_ALL_CFG, "kernel": KERNEL_ALL_CFG, "m": 3, "n_samples": 4, "n_centers": 5,
          "eval_resolution": 6},
     ),
     (
@@ -522,10 +525,10 @@ MERGE_CASES = [
         {"kernel": {"family": "gaussian"}, "m": 2, "seed": 0, "plots": False},
     ),
     (
-        ["train", *COMMON_ALL, *KERNEL_ALL, *TRAIN_ALL, "--m", "2", "--weight", "one",
+        ["train", *ONE_THREAD_ALL, *KERNEL_ALL, *TRAIN_ALL, "--m", "2", "--weight", "one",
          "--link", "identity", "--functional", '{"kind": "l2_energy"}'],
         None,
-        {**COMMON_ALL_CFG, **TRAIN_ALL_CFG, "kernel": KERNEL_ALL_CFG, "m": 2, "weight": "one",
+        {**ONE_THREAD_ALL_CFG, **TRAIN_ALL_CFG, "kernel": KERNEL_ALL_CFG, "m": 2, "weight": "one",
          "link": "identity", "functional": {"kind": "l2_energy"}},
     ),
     (
@@ -537,10 +540,10 @@ MERGE_CASES = [
          "epochs": 9, "widths": [4, 4]},
     ),
     (
-        ["flm", *COMMON_ALL, *KERNEL_ALL, *TRAIN_ALL, "--m-list", "1,2", "--weight", "one",
+        ["flm", *ONE_THREAD_ALL, *KERNEL_ALL, *TRAIN_ALL, "--m-list", "1,2", "--weight", "one",
          "--link", "identity"],
         None,
-        {**COMMON_ALL_CFG, **TRAIN_ALL_CFG, "kernel": KERNEL_ALL_CFG, "m_list": [1, 2],
+        {**ONE_THREAD_ALL_CFG, **TRAIN_ALL_CFG, "kernel": KERNEL_ALL_CFG, "m_list": [1, 2],
          "weight": "one", "link": "identity"},
     ),
     (
@@ -549,10 +552,10 @@ MERGE_CASES = [
         {"kernel": {"family": "gaussian"}, "m_list": [1], "learning_rate": 0.5, "widths": [2, 3]},
     ),
     (
-        ["meta", *COMMON_ALL, "--theorem", "gaussian", "--M", "64", "--r", "2.5", "--s", "0.5",
+        ["meta", *ONE_THREAD_ALL, "--theorem", "gaussian", "--M", "64", "--r", "2.5", "--s", "0.5",
          "--d", "3", "--sigma", "0.25", "--beta", "1.5", "--c", "2"],
         None,
-        {**COMMON_ALL_CFG, "theorem": "gaussian", "M": 64,
+        {**ONE_THREAD_ALL_CFG, "theorem": "gaussian", "M": 64,
          "params": {"r": 2.5, "s": 0.5, "d": 3, "sigma": 0.25, "beta": 1.5, "c": 2.0}},
     ),
     (
@@ -631,6 +634,11 @@ REJECTED_ARGVS = [
     ["meta", "--theorem", "sobolev", "--M", "1" + "0" * 400],
     ["meta", "--theorem", "sobolev", "--M", "64", "--r", "0.75", "--d", "2"],
     ["meta", "--theorem", "sobolev", "--M", "1" + "0" * 300],
+    # only rates and eigen run on threads; the other commands accept just 1
+    ["project", *GAUSS_FLAGS, "--m", "3", "--threads", "2"],
+    ["train", *GAUSS_FLAGS, "--m", "2", "--threads", "2"],
+    ["flm", *GAUSS_FLAGS, "--m-list", "1,2", "--threads", "2"],
+    ["meta", "--theorem", "gaussian", "--M", "100", "--threads", "2"],
     # a prefix of a flag is not that flag
     ["flm", "--kernel", "gaussian", "--m", "4"],
     ["rates", *GAUSS_FLAGS, "--m", "2,4,6,8"],

@@ -1,9 +1,11 @@
 """Extended-precision fallbacks: bit identity and isolation from mpmath.mp.
 
-The factor-once Schur path is compared bit for bit against the per-point
-``cholesky_solve`` algorithm it replaces, and worker threads are checked
-to neither leak a working precision into the process-wide mpmath context
-nor pick one up from each other.
+The raw-arithmetic Schur and grid-eigenvalue paths are compared bit for bit
+against an oracle written here with mpmath number objects: the kernel
+profile and Gram as operator expressions, ``cholesky_solve`` per point and
+``eigsy`` on the object-level Gram.  Worker threads are checked to neither
+leak a working precision into the process-wide mpmath context nor pick one
+up from each other.
 """
 
 from __future__ import annotations
@@ -20,22 +22,58 @@ from rfl import Kernel, UnsupportedConfigurationError, _exact, rate_study_power,
 GAUSS = Kernel("gaussian", sigma=1.0, dim=1)
 
 
+def _reference_context():
+    ctx = mpmath.MPContext()
+    ctx.dps = 50
+    return ctx
+
+
+def _reference_profile(ctx, kernel, s2):
+    """Radial profile at a squared distance, as mpf operator expressions."""
+    if kernel.family == "gaussian":
+        return ctx.e ** (-s2 / (2 * ctx.mpf(kernel.sigma) ** 2))
+    if kernel.family == "inverse_multiquadric":
+        return (ctx.mpf(kernel.sigma) ** 2 + s2) ** (-ctx.mpf(kernel.beta))
+    if kernel.r == 1:
+        return ctx.pi * ctx.e ** (-2 * ctx.pi * ctx.sqrt(s2))
+    assert kernel.r == 2
+    x = ctx.sqrt(s2)
+    return (ctx.pi / 2) * (1 + 2 * ctx.pi * x) * ctx.e ** (-2 * ctx.pi * x)
+
+
+def _reference_gram(ctx, kernel, coords):
+    n = len(coords)
+    K = ctx.matrix(n, n)
+    for i in range(n):
+        for j in range(i, n):
+            s2 = sum((a - b) ** 2 for a, b in zip(coords[i], coords[j]))
+            K[i, j] = K[j, i] = _reference_profile(ctx, kernel, s2)
+    return K
+
+
 def _reference_schur(kernel, nodes, xs):
     """Per-point ``cholesky_solve``: refactors the node Gram for every point."""
-    ctx = _exact._context()
+    ctx = _reference_context()
     coords = [tuple(ctx.mpf(float(c)) for c in row) for row in nodes]
-    K = _exact._gram_mp(ctx, kernel, coords)
-    diag = _exact._profile_mp(ctx, kernel, ctx.mpf(0))
+    K = _reference_gram(ctx, kernel, coords)
+    diag = _reference_profile(ctx, kernel, ctx.mpf(0))
     out = []
     for row in xs:
         x = tuple(ctx.mpf(float(c)) for c in row)
         k = ctx.matrix(
-            [_exact._profile_mp(ctx, kernel, sum((a - b) ** 2 for a, b in zip(c, x))) for c in coords]
+            [_reference_profile(ctx, kernel, sum((a - b) ** 2 for a, b in zip(c, x))) for c in coords]
         )
         y = ctx.cholesky_solve(K, k)
         s = diag - sum(k[i] * y[i] for i in range(len(coords)))
         out.append(float(max(s, ctx.mpf(0))))
     return np.array(out)
+
+
+def _reference_grid_lambda_min(kernel, m):
+    """Smallest eigenvalue of the object-level 1-D grid Gram, by ``eigsy``."""
+    ctx = _reference_context()
+    coords = [(ctx.mpf(i) / m,) for i in range(m + 1)]
+    return float(min(ctx.eigsy(_reference_gram(ctx, kernel, coords), eigvals_only=True)))
 
 
 def _probe_points(nodes, seed):
@@ -53,6 +91,8 @@ def _probe_points(nodes, seed):
         (Kernel("sobolev", r=1.0, dim=1), 8),
         (Kernel("sobolev", r=2.0, dim=1), 8),
         (Kernel("inverse_multiquadric", sigma=1.0, beta=1.0, dim=1), 8),
+        # a non-integer exponent takes mpf_pow's exp-log route
+        (Kernel("inverse_multiquadric", sigma=0.7, beta=0.6, dim=1), 8),
     ],
 )
 def test_schur_values_bit_identical_to_per_point_solve(kernel, m):
@@ -64,6 +104,20 @@ def test_schur_values_bit_identical_to_per_point_solve(kernel, m):
     # the nodes themselves exercise the clamp at zero
     assert (got[: len(nodes)] == 0.0).any()
     assert (got > 0.0).any()
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        GAUSS,
+        Kernel("inverse_multiquadric", sigma=1.0, beta=1.0, dim=1),
+        Kernel("sobolev", r=2.0, dim=1),
+    ],
+)
+@pytest.mark.parametrize("m", [4, 8, 12])
+def test_grid_lambda_min_bit_identical_to_object_level_eigsy(kernel, m):
+    got = _exact.grid_lambda_min(kernel, m, 1)
+    assert got.hex() == _reference_grid_lambda_min(kernel, m).hex()
 
 
 def test_threads_keep_global_precision_and_values():
