@@ -31,13 +31,17 @@ each in a private context.
 forward and one back substitution per point.  The arithmetic is exactly
 that of calling ``cholesky_solve`` per point: the factor and both
 substitutions run 10 guard bits above the base precision, the same
-operations in the same order, so the results agree to the last bit.
+operations in the same order, so the results agree to the last bit.  Within
+a call the profile is evaluated once per distinct squared distance; libmp
+returns the same bits for the same input, so reusing a value changes none.
 
 Everything in this module is deterministic and dependency-free apart from
 mpmath itself.
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 import mpmath
 import numpy as np
@@ -214,7 +218,8 @@ def schur_values(kernel: Kernel, nodes: np.ndarray, xs: np.ndarray) -> np.ndarra
     xs = np.atleast_2d(xs)
     prec = dps_to_prec(_DPS)
     hi = prec + _GUARD_BITS
-    profile = _profile(kernel, prec)
+    # grids repeat squared distances: evaluate each distinct one once per call
+    profile = cache(_profile(kernel, prec))
     coords = [tuple(from_float(float(c)) for c in row) for row in nodes]
     diag = profile(fzero)
     # K = L L^T, factored in a context carrying the guard bits

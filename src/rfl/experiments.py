@@ -11,12 +11,10 @@ takes the kernel, functional and grid from the :class:`Dataset` it splits.
 from __future__ import annotations
 
 import math
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import linregress
 
 from ._report import Report
 from .errors import ArgumentError, DivergenceError
@@ -243,6 +241,8 @@ def rate_study_power(
     (superexponential decay).  A nonnegative fitted slope means decay
     failed and raises.
     """
+    from scipy.stats import linregress  # deferred: scipy.stats about doubles the import of rfl
+
     m_list = [int(m) for m in m_list]
     if len(m_list) < 4 or any(b <= a for a, b in zip(m_list, m_list[1:])):
         raise ArgumentError("m_list must be strictly increasing with at least 4 entries")
@@ -360,7 +360,6 @@ class FlmExperiment(Report):
     train_config: TrainConfig
     rows: list[FlmRunRow]
     sup_trend_nonincreasing: bool
-    wall_time: float
 
     def table(self) -> tuple[list[str], list[list]]:
         header = ["kernel", "m", "M", "seed", *_FLM_COLUMNS]
@@ -391,7 +390,6 @@ def flm_experiment(
     true when the held-out sup error never rises by more than the 20%
     noise band from one grid size to the next.
     """
-    start = time.perf_counter()
     functional = TargetFunctional(kind="gflm", beta=weight, link=link)
     rows: list[FlmRunRow] = []
     for m in m_list:
@@ -425,7 +423,6 @@ def flm_experiment(
         train_config=train_config,
         rows=rows,
         sup_trend_nonincreasing=bool(trend),
-        wall_time=time.perf_counter() - start,
     )
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import qmc
 
 from .errors import ArgumentError, ResourceLimitError
 
@@ -88,6 +87,8 @@ def uniform_grid(m: int, d: int) -> PointSet:
 
 def halton_points(n: int, d: int) -> PointSet:
     """Deterministic quasi-random probe set (unscrambled Halton sequence)."""
+    from scipy.stats import qmc  # deferred: scipy.stats about doubles the import of rfl
+
     sampler = qmc.Halton(d=d, scramble=False)
     pts = sampler.random(n)
     return PointSet(dim=int(d), points=pts, _validated=True)

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate, interpolate
 
 from .errors import ArgumentError, UnsupportedConfigurationError
 from .geometry import _sq_dist_blocks
@@ -268,6 +267,8 @@ def _sobolev_profile_table(r: float):
     fine grid of [0, 1] using the oscillatory-weight quadrature rule, then
     interpolates.  Built once per order and cached.
     """
+    from scipy import integrate, interpolate  # deferred: they load scipy.special, optimize, sparse
+
     xs = np.linspace(0.0, 1.0, 1025)
     vals = np.empty_like(xs)
     vals[0] = _sobolev_profile_zero(r)

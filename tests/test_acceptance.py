@@ -308,6 +308,9 @@ def test_criterion_9_deterministic_outputs(acceptance_log, tmp_path):
                   "--m", "2", "--weight", "sin2pi", "--link", "tanh",
                   "--n-samples", "40", "--epochs", "3", "--widths", "8,8",
                   "--seed", "5"],
+        "flm": ["flm", "--kernel", "gaussian", "--sigma", "1.0", "--d", "1",
+                "--m-list", "1,2", "--weight", "sin2pi", "--link", "tanh",
+                "--n-samples", "30", "--epochs", "3", "--widths", "8,8"],
     }
     mismatches = []
     for name, args in jobs.items():
@@ -315,10 +318,14 @@ def test_criterion_9_deterministic_outputs(acceptance_log, tmp_path):
         out_b = tmp_path / f"{name}_b"
         assert cli_run([*args, "--out", str(out_a)]) == 0
         assert cli_run([*args, "--out", str(out_b)]) == 0
-        for csv_a in sorted((out_a / "tables").glob("*.csv")):
-            csv_b = out_b / "tables" / csv_a.name
-            if csv_a.read_bytes() != csv_b.read_bytes():
-                mismatches.append(f"{name}/{csv_a.name}")
+        files_a = sorted(p.relative_to(out_a) for p in out_a.rglob("*") if p.is_file())
+        files_b = sorted(p.relative_to(out_b) for p in out_b.rglob("*") if p.is_file())
+        assert "report.json" in map(str, files_a)
+        if files_a != files_b:
+            mismatches.append(f"{name}: file lists differ")
+        for rel in files_a:
+            if (out_a / rel).read_bytes() != (out_b / rel).read_bytes():
+                mismatches.append(f"{name}/{rel}")
     # library-level determinism: identical seeds give identical predictions
     functional = TargetFunctional(kind="l2_energy")
     ds_a = generate_dataset(GAUSS, functional, 2, 30, seed=3)
@@ -338,7 +345,7 @@ def test_criterion_9_deterministic_outputs(acceptance_log, tmp_path):
         9,
         "deterministic outputs",
         ok,
-        f"byte-identical CSV reruns for {list(jobs)} "
+        f"byte-identical output reruns for {list(jobs)} "
         f"(mismatches: {mismatches or 'none'}); library rerun identical: "
         f"{library_ok}, {elapsed:.1f}s",
     )

@@ -415,7 +415,6 @@ _REPORT_SHAPES = [
                 }
             ],
             "sup_trend_nonincreasing": "bool",
-            "wall_time": "float",
         },
     ),
 ]

@@ -205,7 +205,6 @@ def test_flm_experiment_smoke():
         assert row.c_g >= row.c_f
         assert row.power_sup > 0.0
     assert isinstance(exp.sup_trend_nonincreasing, bool)
-    assert exp.wall_time > 0.0
     header, rows = exp.table()
     assert header[:4] == ["kernel", "m", "M", "seed"]
     assert len(rows) == 2

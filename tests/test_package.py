@@ -1,12 +1,27 @@
-"""The package's export list."""
+"""The package's export list and what importing it loads."""
 
 from __future__ import annotations
 
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import rfl
+
+# SciPy subpackages that would about double the import time of rfl; only
+# halton_points, rate_study_power and spline-order sobolev kernels load them
+_DEFERRED_SCIPY = (
+    "scipy.stats",
+    "scipy.integrate",
+    "scipy.interpolate",
+    "scipy.optimize",
+    "scipy.special",
+    "scipy.sparse",
+)
 
 
 def test_every_exported_name_resolves_once():
@@ -32,3 +47,20 @@ def test_public_names_are_exported():
             ):
                 unexported.append(f"{info.name}.{name}")
     assert unexported == []
+
+
+def test_import_loads_no_deferred_scipy_subpackage():
+    src = str(Path(rfl.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": f"{src}{os.pathsep}{path}" if path else src}
+    code = "import sys, rfl, rfl.cli; print('\\n'.join(sys.modules))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = [
+        name
+        for name in proc.stdout.split()
+        if any(name == p or name.startswith(p + ".") for p in _DEFERRED_SCIPY)
+    ]
+    assert loaded == []
