@@ -10,22 +10,32 @@ closed form here (see :func:`supports` and :func:`supports_grid`).
 attempt against its noise floor; :mod:`spectral` takes grid eigenvalues
 from here directly.
 
-The kernel profiles, the Gram entries and the per-point substitutions run
-as direct ``mpmath.libmp`` calls on raw mpf tuples.  Each call is given the
-precision and the rounding mode (round to nearest) that the mpf operator it
-stands for would take from its context, and the calls run in the order the
-operator expressions evaluate, so the results are bit-identical to the
-object-level expressions while skipping their wrapper, context lookup and
-allocation costs.  The precision is an argument of every helper.  The one
-departure in form is ``e ** y``: mpf_pow takes ``log e`` afresh for every
-exponent that is not a half-integer, and here it is taken once per call at
-the same precision, which gives the same bits.
+The kernel profiles, the Gram entries, the grid eigensolve and the
+per-point substitutions run as direct ``mpmath.libmp`` calls on raw mpf
+tuples.  Each call is given the precision and the rounding mode (round to
+nearest) that the mpf operator it stands for would take from its context,
+and the calls run in the order the operator expressions evaluate, so the
+results are bit-identical to the object-level expressions while skipping
+their wrapper, context lookup and allocation costs.  The precision is an
+argument of every helper.  The one departure in form is ``e ** y``:
+mpf_pow takes ``log e`` afresh for every exponent that is not a
+half-integer, and here it is taken once per call at the same precision,
+which gives the same bits.
+
+The grid eigensolve is mpmath's own ``eigsy`` with ``eigvals_only=True``,
+replayed operation for operation on lists of raw values: the Householder
+reduction to tridiagonal form (EISPACK tred2) and the implicit QL
+iteration (imtql2).
+Where ``eigsy`` mixes in Python ints (accumulators starting from 0,
+``2 * x``, ``1 / x``, the first rotation's ``s, c, p = 1, 1, 0``), the
+replay makes the libmp call that the mpf operator makes for an int, so the
+eigenvalues are ``eigsy``'s bits.  Only the closing sort, which merely
+permutes, is left out; the minimum is taken by comparison instead.
 
 libmp functions read no context state, so nothing here reads or writes the
 process-wide ``mpmath.mp`` precision and concurrent callers cannot change
 each other's working precision.  The node Gram is factored by
-``MPContext.cholesky`` and grid eigenvalues come from ``MPContext.eigsy``,
-each in a private context.
+``MPContext.cholesky`` in a private context.
 
 :func:`schur_values` factors the node Gram once per call and then runs one
 forward and one back substitution per point.  The arithmetic is exactly
@@ -46,24 +56,35 @@ from functools import cache
 import mpmath
 import numpy as np
 from mpmath.libmp import (
+    MPZ_ONE,
     dps_to_prec,
+    finf,
+    fninf,
+    fone,
     from_float,
     from_int,
     fzero,
+    mpf_abs,
     mpf_add,
     mpf_div,
     mpf_e,
     mpf_exp,
+    mpf_gt,
+    mpf_hypot,
+    mpf_le,
     mpf_log,
+    mpf_lt,
     mpf_mul,
     mpf_mul_int,
     mpf_neg,
     mpf_pi,
     mpf_pow,
     mpf_pow_int,
+    mpf_rdiv_int,
     mpf_sqrt,
     mpf_sub,
     mpf_sum,
+    prec_to_dps,
     to_float,
 )
 
@@ -75,6 +96,8 @@ _DPS = 50
 _GUARD_BITS = 10
 # round to nearest, the rounding mode of every MPContext's mpf operators
 _RND = "n"
+# QL steps allowed per eigenvalue, per decimal digit (tridiag_eigen's 2 * dps)
+_QL_STEPS_PER_DIGIT = 2
 
 
 def supports(kernel: Kernel) -> bool:
@@ -178,6 +201,129 @@ def _matrix(ctx: mpmath.MPContext, rows: list) -> mpmath.matrix:
     return ctx.matrix([[ctx.make_mpf(v) for v in row] for row in rows])
 
 
+def _tridiagonalize(A: list, prec: int) -> tuple[list, list]:
+    """Householder reduction of the raw symmetric rows ``A`` to tridiagonal form.
+
+    Replays mpmath's ``r_sy_tridiag(calc_ev=False)`` (EISPACK tred2) on its
+    upper triangle, overwriting ``A``; returns the diagonal and the
+    off-diagonal (last entry zero).  The accumulators ``scale``, ``H``,
+    ``G`` and ``F`` start from int 0 there, hence :func:`_sum`.
+    """
+    n = len(A)
+    E = [fzero] * n
+    for i in range(n - 1, 1, -1):
+        scale = _sum((mpf_abs(A[k][i], prec, _RND) for k in range(i)), prec)
+        # a nonzero scale can still have an infinite reciprocal
+        if scale == fzero or (scale_inv := mpf_rdiv_int(1, scale, prec, _RND)) in (finf, fninf):
+            E[i] = A[i - 1][i]
+            continue
+        for k in range(i):
+            A[k][i] = mpf_mul(A[k][i], scale_inv, prec, _RND)
+        H = _sum((mpf_mul(A[k][i], A[k][i], prec, _RND) for k in range(i)), prec)
+        F = A[i - 1][i]
+        G = mpf_sqrt(H, prec, _RND)
+        if mpf_gt(F, fzero):
+            G = mpf_neg(G, prec, _RND)
+        E[i] = mpf_mul(scale, G, prec, _RND)
+        H = mpf_sub(H, mpf_mul(F, G, prec, _RND), prec, _RND)
+        A[i - 1][i] = mpf_sub(F, G, prec, _RND)
+        products = []
+        for j in range(i):
+            # (A U)_j over the upper triangle: column j, then row j
+            terms = [mpf_mul(A[k][j], A[k][i], prec, _RND) for k in range(j + 1)]
+            terms += [mpf_mul(A[j][k], A[k][i], prec, _RND) for k in range(j + 1, i)]
+            E[j] = mpf_div(_sum(terms, prec), H, prec, _RND)
+            products.append(mpf_mul(E[j], A[j][i], prec, _RND))
+        F = _sum(products, prec)
+        HH = mpf_div(F, mpf_mul_int(H, 2, prec, _RND), prec, _RND)
+        for j in range(i):
+            F = A[j][i]
+            G = E[j] = mpf_sub(E[j], mpf_mul(HH, F, prec, _RND), prec, _RND)
+            for k in range(j + 1):
+                update = mpf_add(
+                    mpf_mul(F, E[k], prec, _RND), mpf_mul(G, A[k][i], prec, _RND), prec, _RND
+                )
+                A[k][j] = mpf_sub(A[k][j], update, prec, _RND)
+    if n > 1:
+        # tred2's last step, i == 1, only copies the remaining off-diagonal entry
+        E[1] = A[0][1]
+    return [A[i][i] for i in range(n)], E[1:] + [fzero]
+
+
+def _tridiagonal_eigenvalues(d: list, e: list, prec: int) -> list:
+    """Eigenvalues, unordered, of the raw tridiagonal (``d``, ``e``), in place in ``d``.
+
+    Replays mpmath's ``tridiag_eigen(z=False)`` (EISPACK imtql2, implicit
+    QL with Dubrulle's change) short of its closing sort, which only
+    permutes.  More than ``_QL_STEPS_PER_DIGIT`` steps per decimal digit on
+    one eigenvalue raises :class:`SingularGramError`.
+    """
+    n = len(d)
+    limit = _QL_STEPS_PER_DIGIT * prec_to_dps(prec)
+    eps = (0, MPZ_ONE, 1 - prec, 1)
+    for l in range(n):
+        steps = 0
+        while True:
+            # look for a small subdiagonal element
+            m = l
+            while m + 1 < n:
+                size = mpf_add(
+                    mpf_abs(d[m], prec, _RND), mpf_abs(d[m + 1], prec, _RND), prec, _RND
+                )
+                if mpf_le(mpf_abs(e[m], prec, _RND), mpf_mul(eps, size, prec, _RND)):
+                    break
+                m += 1
+            if m == l:
+                break
+            if steps >= limit:
+                raise SingularGramError(f"no convergence to an eigenvalue after {limit} QL steps")
+            steps += 1
+            # form the shift
+            p = d[l]
+            g = mpf_div(
+                mpf_sub(d[l + 1], p, prec, _RND), mpf_mul_int(e[l], 2, prec, _RND), prec, _RND
+            )
+            r = mpf_hypot(g, fone, prec, _RND)
+            s = (mpf_sub if mpf_lt(g, fzero) else mpf_add)(g, r, prec, _RND)
+            g = mpf_add(mpf_sub(d[m], p, prec, _RND), mpf_div(e[l], s, prec, _RND), prec, _RND)
+            # s, c, p = 1, 1, 0 are Python ints until the first rotation;
+            # d - 0 subtracts from_int(0), which is fzero
+            s = c = None
+            p = fzero
+            for i in range(m - 1, l - 1, -1):
+                if s is None:
+                    f = b = mpf_mul_int(e[i], 1, prec, _RND)
+                else:
+                    f = mpf_mul(s, e[i], prec, _RND)
+                    b = mpf_mul(c, e[i], prec, _RND)
+                if mpf_gt(mpf_abs(f, prec, _RND), mpf_abs(g, prec, _RND)):
+                    c = mpf_div(g, f, prec, _RND)
+                    r = mpf_hypot(c, fone, prec, _RND)
+                    e[i + 1] = mpf_mul(f, r, prec, _RND)
+                    s = mpf_rdiv_int(1, r, prec, _RND)
+                    c = mpf_mul(c, s, prec, _RND)
+                else:
+                    s = mpf_div(f, g, prec, _RND)
+                    r = mpf_hypot(s, fone, prec, _RND)
+                    e[i + 1] = mpf_mul(g, r, prec, _RND)
+                    c = mpf_rdiv_int(1, r, prec, _RND)
+                    s = mpf_mul(s, c, prec, _RND)
+                g = mpf_sub(d[i + 1], p, prec, _RND)
+                r = mpf_add(
+                    mpf_mul(mpf_sub(d[i], g, prec, _RND), s, prec, _RND),
+                    mpf_mul(mpf_mul_int(c, 2, prec, _RND), b, prec, _RND),
+                    prec,
+                    _RND,
+                )
+                p = mpf_mul(s, r, prec, _RND)
+                d[i + 1] = mpf_add(g, p, prec, _RND)
+                g = mpf_sub(mpf_mul(c, r, prec, _RND), b, prec, _RND)
+            d[l] = mpf_sub(d[l], p, prec, _RND)
+            e[l] = g
+            e[m] = fzero
+    return d
+
+
 def grid_lambda_min(kernel: Kernel, m: int, d: int) -> float:
     """Smallest Gram eigenvalue on the uniform grid, via extended precision.
 
@@ -186,23 +332,34 @@ def grid_lambda_min(kernel: Kernel, m: int, d: int) -> float:
     so the smallest eigenvalue in dimension d is the d-th power of the
     one-dimensional one.  That identity is exact, not an approximation, and
     keeps the mp eigensolve at size m+1 instead of (m+1)^d.  A 1-D value
-    that is not positive (every digit cancelled) raises SingularGramError.
+    that is not positive (every digit cancelled), or an eigensolve that
+    does not converge, raises SingularGramError.
     """
     if not supports_grid(kernel, d):
         raise UnsupportedConfigurationError(
             f"no extended-precision grid eigenvalue for {kernel.family} in d={d}"
         )
     prec = dps_to_prec(_DPS)
-    ctx = _context(prec)
     # node i / m, as mpf(i) / m
     coords = [(mpf_div(from_int(i), from_int(m), prec, _RND),) for i in range(m + 1)]
-    K = _matrix(ctx, _gram(_profile(kernel, prec), coords, prec))
-    lam = min(ctx.eigsy(K, eigvals_only=True))
-    if lam <= 0:
-        raise SingularGramError(
-            f"extended-precision 1-D grid eigenvalue {float(lam):.3e} at m={m} is not positive"
+    # the eigenvalues MPContext.eigsy returns for this Gram, bit for bit
+    try:
+        eigs = _tridiagonal_eigenvalues(
+            *_tridiagonalize(_gram(_profile(kernel, prec), coords, prec), prec), prec
         )
-    return float(lam**d)
+    except SingularGramError as exc:
+        msg = f"extended-precision 1-D grid eigensolve at m={m}: {exc}"
+        raise SingularGramError(msg) from None
+    lam = eigs[0]
+    for v in eigs[1:]:
+        if mpf_lt(v, lam):
+            lam = v
+    if mpf_le(lam, fzero):
+        raise SingularGramError(
+            f"extended-precision 1-D grid eigenvalue {to_float(lam, rnd=_RND):.3e} at m={m} "
+            "is not positive"
+        )
+    return to_float(mpf_pow_int(lam, d, prec, _RND), rnd=_RND)
 
 
 def schur_values(kernel: Kernel, nodes: np.ndarray, xs: np.ndarray) -> np.ndarray:

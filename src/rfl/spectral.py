@@ -25,8 +25,8 @@ from .rkhs import GramSystem, build_gram
 
 _EPS = float(np.finfo(float).eps)
 
-# largest grid m sent to the extended route; the mpmath eigensolve grows like
-# m^3 (sobolev r=1, d=1: 0.3 s at m=32, 1.6 s at m=64 on a 2-core Xeon)
+# largest grid m sent to the extended route; its raw-libmp eigensolve grows
+# like m^3 (sobolev r=1, d=1: 0.19 s at m=32, 1.1 s at m=64 on a 2-core Xeon)
 EXTENDED_MAX_M = 64
 
 
@@ -102,7 +102,7 @@ def check_eigen_lower_bound(kernel: Kernel, m: int, d: int | None = None) -> Spe
         raise ArgumentError(
             f"requested dimension {d} conflicts with the kernel descriptor ({kernel.dim})"
         )
-    if not (isinstance(m, (int, np.integer)) and m >= 1):
+    if not (isinstance(m, (int, np.integer)) and not isinstance(m, bool) and m >= 1):
         raise ArgumentError(f"grid parameter m must be a positive integer, got {m!r}")
     gamma = kernel.gamma_m(int(m))
     grid = uniform_grid(int(m), int(d))
@@ -136,10 +136,10 @@ def holder_constant_G(system: GramSystem, s: float, C_F: float) -> float:
     route whose smallest eigenvalue lies below the noise floor that raises
     :class:`SingularGramError`.
     """
-    if not (0.0 < s <= 1.0):
-        raise ArgumentError(f"exponent s must lie in (0, 1], got {s!r}")
-    if C_F < 0.0:
-        raise ArgumentError(f"functional constant must be nonnegative, got {C_F!r}")
+    if isinstance(s, bool) or not (0.0 < s <= 1.0):
+        raise ArgumentError(f"exponent s must be a number in (0, 1], got {s!r}")
+    if not (math.isfinite(C_F) and C_F >= 0.0):
+        raise ArgumentError(f"functional constant must be finite and nonnegative, got {C_F!r}")
     alpha, c_k = system.kernel.holder_data()
     h = fill_distance(system.points)
     lam, _ = lambda_min_accurate(system.kernel, system.points, system.gram)

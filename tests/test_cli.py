@@ -213,6 +213,14 @@ def test_non_positive_extended_eigenvalue_exits_3(tmp_path, capsys):
     assert not (tmp_path / "e").exists()
 
 
+def test_extended_eigensolve_without_convergence_exits_3(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("rfl._exact._QL_STEPS_PER_DIGIT", 0)
+    argv = ["eigen", "--kernel", "sobolev", "--r", "1", "--d", "1", "--m-list", "2,3"]
+    assert run([*argv, "--out", str(tmp_path / "e")]) == 3
+    assert "at m=2: no convergence" in capsys.readouterr().err
+    assert not (tmp_path / "e").exists()
+
+
 def test_report_does_not_depend_on_output_path(tmp_path):
     argv = ["eigen", "--kernel", "sobolev", "--r", "1", "--d", "1", "--m-list", "1,2,3"]
     short, long = tmp_path / "pass9", tmp_path / "pass10" / "a-longer-directory-name"

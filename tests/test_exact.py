@@ -3,9 +3,9 @@
 The raw-arithmetic Schur and grid-eigenvalue paths are compared bit for bit
 against an oracle written here with mpmath number objects: the kernel
 profile and Gram as operator expressions, ``cholesky_solve`` per point and
-``eigsy`` on the object-level Gram.  Worker threads are checked to neither
-leak a working precision into the process-wide mpmath context nor pick one
-up from each other.
+``eigsy`` on the object-level Gram, whose non-positive minima must raise.
+Worker threads are checked to neither leak a working precision into the
+process-wide mpmath context nor pick one up from each other.
 """
 
 from __future__ import annotations
@@ -17,7 +17,15 @@ import mpmath
 import numpy as np
 import pytest
 
-from rfl import Kernel, UnsupportedConfigurationError, _exact, rate_study_power, uniform_grid
+from rfl import (
+    Kernel,
+    SingularGramError,
+    UnsupportedConfigurationError,
+    _exact,
+    rate_study_power,
+    uniform_grid,
+)
+from rfl.spectral import EXTENDED_MAX_M
 
 GAUSS = Kernel("gaussian", sigma=1.0, dim=1)
 
@@ -70,10 +78,10 @@ def _reference_schur(kernel, nodes, xs):
 
 
 def _reference_grid_lambda_min(kernel, m):
-    """Smallest eigenvalue of the object-level 1-D grid Gram, by ``eigsy``."""
+    """Smallest eigenvalue, an mpf, of the object-level 1-D grid Gram by ``eigsy``."""
     ctx = _reference_context()
     coords = [(ctx.mpf(i) / m,) for i in range(m + 1)]
-    return float(min(ctx.eigsy(_reference_gram(ctx, kernel, coords), eigvals_only=True)))
+    return min(ctx.eigsy(_reference_gram(ctx, kernel, coords), eigvals_only=True))
 
 
 def _probe_points(nodes, seed):
@@ -106,18 +114,69 @@ def test_schur_values_bit_identical_to_per_point_solve(kernel, m):
     assert (got > 0.0).any()
 
 
+GRID_KERNELS = [
+    Kernel("gaussian", sigma=0.5, dim=1),
+    GAUSS,
+    Kernel("gaussian", sigma=2.0, dim=1),
+    Kernel("inverse_multiquadric", sigma=1.0, beta=1.0, dim=1),
+    Kernel("inverse_multiquadric", sigma=0.7, beta=0.6, dim=1),
+    Kernel("sobolev", r=1.0, dim=1),
+    Kernel("sobolev", r=2.0, dim=1),
+]
+
+
+def _check_grid_lambda_min(kernel, m):
+    want = _reference_grid_lambda_min(kernel, m)
+    if want <= 0:
+        # every digit cancelled at 50 digits: the value must not come back
+        with pytest.raises(SingularGramError, match="not positive"):
+            _exact.grid_lambda_min(kernel, m, 1)
+    else:
+        assert _exact.grid_lambda_min(kernel, m, 1).hex() == float(want).hex()
+    return want
+
+
+@pytest.mark.parametrize("kernel", GRID_KERNELS)
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 8, 12, 16, 32])
+def test_grid_lambda_min_bit_identical_to_object_level_eigsy(kernel, m):
+    _check_grid_lambda_min(kernel, m)
+
+
 @pytest.mark.parametrize(
-    "kernel",
+    "kernel, m, positive",
     [
-        GAUSS,
-        Kernel("inverse_multiquadric", sigma=1.0, beta=1.0, dim=1),
-        Kernel("sobolev", r=2.0, dim=1),
+        (Kernel("sobolev", r=1.0, dim=1), EXTENDED_MAX_M, True),
+        (Kernel("inverse_multiquadric", sigma=0.7, beta=0.6, dim=1), EXTENDED_MAX_M, False),
+        (GAUSS, 23, False),
+        (Kernel("gaussian", sigma=2.0, dim=1), 24, False),
     ],
 )
-@pytest.mark.parametrize("m", [4, 8, 12])
-def test_grid_lambda_min_bit_identical_to_object_level_eigsy(kernel, m):
-    got = _exact.grid_lambda_min(kernel, m, 1)
-    assert got.hex() == _reference_grid_lambda_min(kernel, m).hex()
+def test_grid_lambda_min_at_the_cap_and_where_eigsy_is_not_positive(kernel, m, positive):
+    assert (_check_grid_lambda_min(kernel, m) > 0) == positive
+
+
+@pytest.mark.parametrize("sigma, m", [(0.5, 8), (1.0, 4), (1.0, 12), (2.0, 16)])
+def test_gaussian_d2_grid_lambda_min_is_the_squared_1d_value(sigma, m):
+    kernel = Kernel("gaussian", sigma=sigma, dim=2)
+    want = float(_reference_grid_lambda_min(kernel, m) ** 2)
+    assert _exact.grid_lambda_min(kernel, m, 2).hex() == want.hex()
+
+
+def test_grid_lambda_min_does_not_call_eigsy(monkeypatch):
+    kernel = Kernel("sobolev", r=2.0, dim=1)
+    want = float(_reference_grid_lambda_min(kernel, 12))
+
+    def eigsy(*args, **kwargs):
+        raise AssertionError("grid_lambda_min went through MPContext.eigsy")
+
+    monkeypatch.setattr(mpmath.MPContext, "eigsy", eigsy)
+    assert _exact.grid_lambda_min(kernel, 12, 1).hex() == want.hex()
+
+
+def test_grid_lambda_min_iteration_limit_raises(monkeypatch):
+    monkeypatch.setattr(_exact, "_QL_STEPS_PER_DIGIT", 0)
+    with pytest.raises(SingularGramError, match="at m=4: no convergence .* after 0 QL steps"):
+        _exact.grid_lambda_min(Kernel("sobolev", r=1.0, dim=1), 4, 1)
 
 
 def test_threads_keep_global_precision_and_values():

@@ -265,7 +265,7 @@ def test_holder_constant_G_matches_manual_formula():
         assert holder_constant_G(system, s, c_f) == pytest.approx(want, rel=1e-9)
 
 
-def test_holder_constant_G_frozen_and_override():
+def test_holder_constant_G_frozen():
     system = build_gram(GAUSS, uniform_grid(2, 1))
     assert holder_constant_G(system, 1.0, 1.0) == pytest.approx(23.900, rel=1e-3)
 
@@ -278,6 +278,20 @@ def test_holder_constant_G_validation():
         holder_constant_G(system, 1.5, 1.0)
     with pytest.raises(ArgumentError):
         holder_constant_G(system, 1.0, -1.0)
+
+
+@pytest.mark.parametrize(
+    "s, c_f", [(True, 1.0), (1.0, math.nan), (1.0, math.inf), (1.0, -math.inf)]
+)
+def test_holder_constant_G_rejects_bool_exponent_and_non_finite_constant(s, c_f):
+    system = build_gram(GAUSS, uniform_grid(2, 1))
+    with pytest.raises(ArgumentError):
+        holder_constant_G(system, s, c_f)
+
+
+def test_check_eigen_lower_bound_rejects_bool_m():
+    with pytest.raises(ArgumentError, match="positive integer"):
+        check_eigen_lower_bound(SOB1, True)
 
 
 def test_holder_constant_G_growth_caps():
