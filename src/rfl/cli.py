@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -235,12 +236,23 @@ def _merge_config(args: argparse.Namespace) -> dict:
     return cfg
 
 
+@functools.cache
+def _validator(command: str):
+    """The schema validator of one command, built on its first use.
+
+    ``jsonschema.validate`` would check the schema against its metaschema
+    on every call; the tests check every schema once instead.
+    """
+    schema = _COMMAND_SCHEMAS[command]
+    return jsonschema.validators.validator_for(schema)(schema)
+
+
 def _validate(cfg: dict, command: str) -> None:
-    try:
-        jsonschema.validate(cfg, _COMMAND_SCHEMAS[command])
-    except jsonschema.ValidationError as exc:
+    # the error jsonschema.validate would raise
+    exc = jsonschema.exceptions.best_match(_validator(command).iter_errors(cfg))
+    if exc is not None:
         where = "/".join(str(p) for p in exc.absolute_path) or "config"
-        raise ConfigError(f"invalid {command} config at {where}: {exc.message}") from None
+        raise ConfigError(f"invalid {command} config at {where}: {exc.message}")
 
 
 def _require(cfg: dict, key: str):

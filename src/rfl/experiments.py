@@ -5,7 +5,11 @@ CSV tables; the ``Report`` mixin derives the JSON form from the dataclass
 fields.  Table rows carry a (kernel, m, M, seed) provenance tuple and all
 randomness flows from explicit seeds, so a rerun with the same config
 reproduces the output files byte for byte.  :func:`error_decomposition`
-takes the kernel, functional and grid from the :class:`Dataset` it splits.
+takes the kernel, functional and grid from the :class:`Dataset` it splits;
+it projects the samples with one Gram solve per block of rows and trains
+without a loss curve, so its ``train_report.loss_curve`` is empty.
+:func:`flm_experiment` draws the samples again for every grid size but
+evaluates their targets once.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ from .rkhs import (
     GramSystem,
     build_gram,
     power_function_sup,
-    project,
     sample_unit_ball,
 )
 from .spectral import SpectralReport, check_eigen_lower_bound, holder_constant_G
@@ -106,6 +109,16 @@ def _unit_ball_draws(kernel: Kernel, n_samples: int, seed: int, n_centers: int):
         yield sample_unit_ball(kernel, n_centers, target_norm, child)
 
 
+def _count(value, name: str) -> int:
+    """``value`` as an int; a bool or a non-integral number raises :class:`ArgumentError`."""
+    if isinstance(value, bool) or not (
+        isinstance(value, (int, np.integer))
+        or (isinstance(value, (float, np.floating)) and float(value).is_integer())
+    ):
+        raise ArgumentError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def generate_dataset(
     kernel: Kernel,
     functional: TargetFunctional,
@@ -121,23 +134,43 @@ def generate_dataset(
     master generator, making the whole dataset a pure function of ``seed``.
     The last 20% of the rows (rounded) are held out.
     """
-    if not (isinstance(n_samples, (int, np.integer)) and n_samples >= 1):
+    return _draw_dataset(kernel, functional, m, n_samples, seed, None)
+
+
+def _draw_dataset(
+    kernel: Kernel,
+    functional: TargetFunctional,
+    m: int,
+    n_samples: int,
+    seed: int,
+    targets: np.ndarray | None,
+) -> Dataset:
+    """:func:`generate_dataset`, reusing ``targets`` when they are given.
+
+    The targets depend only on the drawn functions, not on the grid, so a
+    dataset of the same ``seed`` and ``n_samples`` on another grid can hand
+    them over; the functions are still drawn, for their node values.
+    """
+    n_samples = _count(n_samples, "n_samples")
+    if n_samples < 1:
         raise ArgumentError(f"n_samples must be a positive integer, got {n_samples!r}")
-    grid = uniform_grid(int(m), kernel.dim)
-    inputs = np.empty((int(n_samples), len(grid)))
-    targets = np.empty(int(n_samples))
-    for i, f in enumerate(_unit_ball_draws(kernel, int(n_samples), seed, DEFAULT_SAMPLE_CENTERS)):
+    grid = uniform_grid(_count(m, "m"), kernel.dim)
+    inputs = np.empty((n_samples, len(grid)))
+    computed = targets is None
+    if computed:
+        targets = np.empty(n_samples)
+    for i, f in enumerate(_unit_ball_draws(kernel, n_samples, seed, DEFAULT_SAMPLE_CENTERS)):
         inputs[i] = f.eval_at(grid.points)
-        targets[i] = functional.value(f)
-    n_heldout = int(round(_HOLDOUT_FRACTION * int(n_samples)))
-    n_train = int(n_samples) - n_heldout
+        if computed:
+            targets[i] = functional.value(f)
+    n_heldout = int(round(_HOLDOUT_FRACTION * n_samples))
     return Dataset(
         kernel=kernel,
         functional=functional,
         grid=grid,
         inputs=inputs,
         targets=targets,
-        n_train=n_train,
+        n_train=n_samples - n_heldout,
     )
 
 
@@ -166,18 +199,16 @@ def error_decomposition(dataset: Dataset, train_config: TrainConfig) -> Decompos
     """Train a network on a dataset's targets and split its worst-case error.
 
     The kernel, the functional and the node grid all come from ``dataset``
-    (see :func:`generate_dataset`).  The projection route F(Pf) is computed
-    per sample through the Gram system of the node grid; the network is
-    trained fresh from the config.
+    (see :func:`generate_dataset`).  The projection route F(Pf) solves
+    with the Gram system of the node grid once per block of samples; the
+    network is trained fresh from the config, without a loss curve, so
+    ``train_report.loss_curve`` is empty.
     """
     kernel, functional = dataset.kernel, dataset.functional
     system = build_gram(kernel, dataset.grid)
-    projected = np.empty(len(dataset))
-    for i in range(len(dataset)):
-        pf = project(system, dataset.inputs[i])
-        projected[i] = functional.value(pf)
+    projected = functional._projected_values(system, dataset.inputs)
     net = init(len(system), train_config.widths, train_config.seed)
-    report = train(net, dataset, train_config)
+    report = train(net, dataset, train_config, loss_curve=False)
     preds = forward_batch(net, dataset.inputs)
     term_i = float(np.abs(dataset.targets - projected).max())
     term_ii = float(np.abs(projected - preds).max())
@@ -243,16 +274,16 @@ def rate_study_power(
     """
     from scipy.stats import linregress  # deferred: scipy.stats about doubles the import of rfl
 
-    m_list = [int(m) for m in m_list]
+    m_list = [_count(m, "m") for m in m_list]
+    if eval_resolution is not None:
+        eval_resolution = _count(eval_resolution, "eval_resolution")
     if len(m_list) < 4 or any(b <= a for a, b in zip(m_list, m_list[1:])):
         raise ArgumentError("m_list must be strictly increasing with at least 4 entries")
 
     def _sup_for(m: int) -> float:
         system = build_gram(kernel, uniform_grid(m, kernel.dim))
         eval_set = (
-            uniform_grid(int(eval_resolution), kernel.dim)
-            if eval_resolution is not None
-            else None
+            uniform_grid(eval_resolution, kernel.dim) if eval_resolution is not None else None
         )
         return power_function_sup(system, eval_set)
 
@@ -283,7 +314,7 @@ def rate_study_power(
         stderr=float(fit.stderr),
         ratios=[float(r) for r in ratios],
         ratios_strictly_decreasing=bool(decreasing),
-        eval_resolution=None if eval_resolution is None else int(eval_resolution),
+        eval_resolution=eval_resolution,
     )
 
 
@@ -317,12 +348,10 @@ def rate_study_eigen(
     kernel: Kernel, m_list, d: int | None = None, threads: int = 1
 ) -> EigenRateStudy:
     """Smallest eigenvalue against the spectral bound for each grid size."""
-    if d is None:
-        d = kernel.dim
-    reports = _map_over(
-        lambda m: check_eigen_lower_bound(kernel, int(m), int(d)), list(m_list), threads
-    )
-    return EigenRateStudy(kernel=kernel, d=int(d), reports=reports)
+    d = _count(kernel.dim if d is None else d, "d")
+    m_list = [_count(m, "m") for m in m_list]
+    reports = _map_over(lambda m: check_eigen_lower_bound(kernel, m, d), m_list, threads)
+    return EigenRateStudy(kernel=kernel, d=d, reports=reports)
 
 
 @dataclass(frozen=True)
@@ -390,16 +419,21 @@ def flm_experiment(
     true when the held-out sup error never rises by more than the 20%
     noise band from one grid size to the next.
     """
+    m_list = [_count(m, "m") for m in m_list]
+    n_samples = _count(n_samples, "n_samples")
     functional = TargetFunctional(kind="gflm", beta=weight, link=link)
     rows: list[FlmRunRow] = []
+    dataset = None
     for m in m_list:
-        dataset = generate_dataset(kernel, functional, int(m), int(n_samples), train_config.seed)
+        # every grid draws the same functions, so the first grid's targets serve all
+        targets = None if dataset is None else dataset.targets
+        dataset = _draw_dataset(kernel, functional, m, n_samples, train_config.seed, targets)
         dec = error_decomposition(dataset, train_config)
         system = dec.system
         c_g = holder_constant_G(system, functional.holder_exponent(), dec.c_f)
         rows.append(
             FlmRunRow(
-                m=int(m),
+                m=m,
                 n_nodes=len(system),
                 term_I=dec.term_I,
                 term_II=dec.term_II,
@@ -418,8 +452,8 @@ def flm_experiment(
         kernel=kernel,
         weight=weight,
         link=link,
-        m_list=[int(m) for m in m_list],
-        n_samples=int(n_samples),
+        m_list=m_list,
+        n_samples=n_samples,
         train_config=train_config,
         rows=rows,
         sup_trend_nonincreasing=bool(trend),

@@ -21,10 +21,19 @@ import numpy as np
 from .errors import ArgumentError, DivergenceError, UnsupportedConfigurationError
 from .geometry import uniform_grid
 from .kernels import Kernel
-from .rkhs import DEFAULT_SAMPLE_CENTERS, _NORM_TARGET_RANGE, RkhsFunction, sample_unit_ball
+from .rkhs import (
+    DEFAULT_SAMPLE_CENTERS,
+    _NORM_TARGET_RANGE,
+    GramSystem,
+    RkhsFunction,
+    sample_unit_ball,
+)
 
 DEFAULT_QUADRATURE_POINTS = 257
 _MIN_QUADRATURE_POINTS = 33
+# rows per Gram solve in _projected_values; one solve of all 4000 rows of
+# an flm dataset left the process's peak RSS about 0.3 MB higher
+_SOLVE_BLOCK = 256
 _HOLDER_GRID_M = 2048
 _FLOAT_MAX = sys.float_info.max
 
@@ -60,13 +69,14 @@ def _simpson_weights(n: int) -> np.ndarray:
     return w * (h / 3.0)
 
 
-def _rk4(f: RkhsFunction, rhs_name: str, a: float, b: float, h0: float, steps: int) -> float:
-    """Classical fixed-step fourth-order Runge-Kutta for h' = rhs(x, f(x), h)."""
+def _rk4(
+    xs: np.ndarray, us: np.ndarray, rhs_name: str, dx: float, h0: float, steps: int
+) -> float:
+    """Classical fixed-step fourth-order Runge-Kutta for h' = rhs(x, f(x), h).
+
+    ``us`` holds f on the half-step lattice ``xs`` (2 steps + 1 points, dx/2 apart).
+    """
     rhs = ODE_RHS[rhs_name]
-    dx = (b - a) / steps
-    # f only ever gets evaluated on the half-step lattice, so batch it once
-    xs = a + np.arange(2 * steps + 1) * (dx / 2.0)
-    us = f.eval_at(xs[:, None])
     h = float(h0)
     for i in range(steps):
         x = xs[2 * i]
@@ -151,20 +161,57 @@ class TargetFunctional:
             b = BETAS[beta][0](t) if isinstance(beta, str) else beta.eval_at(t[:, None])
         return t, _simpson_weights(len(t)), b
 
-    def value(self, f: RkhsFunction) -> float:
-        if f.kernel.dim != 1:
+    @cached_property
+    def _points(self) -> np.ndarray:
+        """The (P, 1) points where F reads f: the RK4 half-step lattice or the Simpson nodes."""
+        if self.kind == "ode_map":
+            o = self.ode
+            a, steps = float(o["a"]), int(o["steps"])
+            dx = (float(o["b"]) - a) / steps
+            return (a + np.arange(2 * steps + 1) * (dx / 2.0))[:, None]
+        return self._rule[0][:, None]
+
+    def _check_dim(self, kernel: Kernel) -> None:
+        if kernel.dim != 1:
             what = {"l2_energy": "energy functional", "ode_map": "ODE solution map"}
             what = what.get(self.kind, "integral functional")
             raise UnsupportedConfigurationError(f"the {what} is only defined for dim=1 inputs")
+
+    def _from_values(self, vals: np.ndarray) -> float:
+        """F(f) from the values of f at :attr:`_points`."""
         if self.kind == "ode_map":
             o = self.ode
-            return _rk4(f, o["rhs"], float(o["a"]), float(o["b"]), float(o["h0"]), int(o["steps"]))
-        t, w, b = self._rule
+            a, steps = float(o["a"]), int(o["steps"])
+            dx = (float(o["b"]) - a) / steps
+            return _rk4(self._points[:, 0], vals, o["rhs"], dx, float(o["h0"]), steps)
+        _, w, b = self._rule
         if self.kind == "l2_energy":
-            vals = f.eval_at(t[:, None])
             return float(w @ (vals * vals))
-        integral = float(w @ (f.eval_at(t[:, None]) * b))
+        integral = float(w @ (vals * b))
         return float(LINKS[self.link][0](integral)) if self.kind == "gflm" else integral
+
+    def value(self, f: RkhsFunction) -> float:
+        self._check_dim(f.kernel)
+        return self._from_values(f.eval_at(self._points))
+
+    def _projected_values(self, system: GramSystem, node_values: np.ndarray) -> np.ndarray:
+        """F(Pf) for each row of ``node_values``, the values of an f at ``system``'s nodes.
+
+        Each block of rows takes one solve, whose columns have the bits of
+        the per-row solves of :func:`rfl.rkhs.project`.  The kernel matrix
+        between :attr:`_points` and the nodes is built once and each row
+        takes its own matrix-vector product, the one :meth:`value` makes, so
+        row i gives the bits of ``value(project(system, node_values[i]))``;
+        one matrix product over all rows would round differently.
+        """
+        self._check_dim(system.kernel)
+        k = system.kernel.pairwise(self._points, system.points.points)
+        out = np.empty(len(node_values))
+        for i0 in range(0, len(out), _SOLVE_BLOCK):
+            coeffs = system.solve(node_values[i0 : i0 + _SOLVE_BLOCK].T)
+            for i, c in enumerate(coeffs.T, i0):
+                out[i] = self._from_values(k @ c)
+        return out
 
     def holder_exponent(self) -> float:
         return 1.0

@@ -69,9 +69,9 @@ def uniform_grid(m: int, d: int) -> PointSet:
     (4096); Gram work downstream is dense, so the cap keeps memory and
     eigensolver cost bounded.
     """
-    if not (isinstance(m, (int, np.integer)) and m >= 1):
+    if isinstance(m, bool) or not (isinstance(m, (int, np.integer)) and m >= 1):
         raise ArgumentError(f"m must be a positive integer, got {m!r}")
-    if not (isinstance(d, (int, np.integer)) and d >= 1):
+    if isinstance(d, bool) or not (isinstance(d, (int, np.integer)) and d >= 1):
         raise ArgumentError(f"d must be a positive integer, got {d!r}")
     n = (m + 1) ** d
     if n > DEFAULT_MAX_POINTS:

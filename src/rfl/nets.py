@@ -14,7 +14,10 @@ into the gradient buffer.  Every Adam operation is elementwise and runs
 in the same order as a per-parameter update, so one update of the flat
 buffers is bit-identical to updating the five arrays one at a time.  The
 per-epoch train loss runs the forward pass into two preallocated
-activation buffers.
+activation buffers.  The loss curve is optional: without it, an epoch
+runs that full-training-set pass only when a cheap bound cannot show the
+loss is finite, so divergence is still caught in the same epoch, and the
+last epoch always runs it for ``final_train_mse``.
 """
 
 from __future__ import annotations
@@ -279,7 +282,29 @@ def _views(flat: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
     return views
 
 
-def train(net: TanhNetwork, dataset, config: TrainConfig) -> TrainReport:
+def _abs_max(v: np.ndarray) -> float:
+    """max |v| without a temporary the size of ``v``: 0 if v is empty, NaN if v holds one."""
+    return float(np.maximum(v.max(initial=0.0), -v.min(initial=0.0)))
+
+
+def _loss_is_finite(
+    theta: np.ndarray, a: np.ndarray, n: int, x_scale: float, y_max: float
+) -> bool:
+    """True when a bound shows the train MSE of the network in ``theta`` is finite.
+
+    T = max|theta| bounds every weight and bias, so each pre-activation is
+    at most ``x_scale`` T = (input_dim max|X| + w1 + 1) T in magnitude, and
+    |tanh| <= 1 bounds each residual by |a|_1 + max|y|.  Below 1e300 none of
+    them, nor the sum of the n squared residuals, can overflow.  A NaN or an
+    inf anywhere makes a comparison false, so the bound never passes on one.
+    """
+    r = float(np.abs(a).sum()) + y_max
+    return x_scale * _abs_max(theta) < 1e300 and n * r * r < 1e300
+
+
+def train(
+    net: TanhNetwork, dataset, config: TrainConfig, *, loss_curve: bool = True
+) -> TrainReport:
     """Adaptive-moment gradient descent on half-MSE with bias correction.
 
     ``dataset`` must expose train_x, train_y, heldout_x, heldout_y arrays.
@@ -287,6 +312,12 @@ def train(net: TanhNetwork, dataset, config: TrainConfig) -> TrainReport:
     non-finite loss aborts with a divergence error carrying the epoch it
     happened in.  The network's own parameter arrays hold the trained
     values on return, also when training diverges.
+
+    With ``loss_curve=False`` the report's curve is empty and an epoch skips
+    the full-training-set forward pass whenever a bound on the weights,
+    inputs and targets shows the loss is finite; the parameters, the
+    ``final_train_mse`` and any :class:`DivergenceError` (its epoch and
+    message) are the same as with the curve.
     """
     X = np.asarray(dataset.train_x, dtype=float)
     y = np.asarray(dataset.train_y, dtype=float)
@@ -307,8 +338,11 @@ def train(net: TanhNetwork, dataset, config: TrainConfig) -> TrainReport:
     H1 = np.empty((n, net.widths[0]))
     H2 = np.empty((n, net.widths[1]))
     net.W1, net.b1, net.W2, net.b2, net.a = _views(theta, shapes)
+    x_scale = net.input_dim * _abs_max(X) + net.widths[0] + 1.0
+    y_max = _abs_max(y)
     step = 0
-    loss_curve: list[float] = []
+    curve: list[float] = []
+    final_mse = None
     try:
         for epoch in range(config.epochs):
             if config.lr_schedule == "cosine":
@@ -339,20 +373,27 @@ def train(net: TanhNetwork, dataset, config: TrainConfig) -> TrainReport:
                 s2 *= lr
                 s2 /= s1
                 theta -= s2
-            resid = _forward_into(net, X, H1, H2) - y
-            epoch_mse = float(np.mean(resid * resid))
-            if not math.isfinite(epoch_mse):
-                raise DivergenceError(
-                    f"training loss became non-finite in epoch {epoch + 1} "
-                    f"(lr={lr:.3e}, widths={net.widths})"
-                )
-            loss_curve.append(epoch_mse)
+            if (
+                loss_curve
+                or epoch == config.epochs - 1
+                or not _loss_is_finite(theta, net.a, n, x_scale, y_max)
+            ):
+                resid = _forward_into(net, X, H1, H2) - y
+                final_mse = float(np.mean(resid * resid))
+                if not math.isfinite(final_mse):
+                    raise DivergenceError(
+                        f"training loss became non-finite in epoch {epoch + 1} "
+                        f"(lr={lr:.3e}, widths={net.widths})"
+                    )
+                if loss_curve:
+                    curve.append(final_mse)
     finally:
         for p, trained in zip(originals, net.parameters()):
             p[...] = trained
         net.W1, net.b1, net.W2, net.b2, net.a = originals
     del H1, H2  # free the activation buffers before the held-out forward pass
-    final_mse = loss_curve[-1] if loss_curve else loss_mse(net, X, y)
+    if final_mse is None:
+        final_mse = loss_mse(net, X, y)
     hx = np.asarray(dataset.heldout_x, dtype=float)
     hy = np.asarray(dataset.heldout_y, dtype=float)
     if hx.shape[0] > 0:
@@ -369,5 +410,5 @@ def train(net: TanhNetwork, dataset, config: TrainConfig) -> TrainReport:
         heldout_mean_abs=mean_abs,
         param_count=net.param_count,
         seed=int(config.seed),
-        loss_curve=loss_curve,
+        loss_curve=curve,
     )

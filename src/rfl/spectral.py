@@ -138,7 +138,7 @@ def holder_constant_G(system: GramSystem, s: float, C_F: float) -> float:
     """
     if isinstance(s, bool) or not (0.0 < s <= 1.0):
         raise ArgumentError(f"exponent s must be a number in (0, 1], got {s!r}")
-    if not (math.isfinite(C_F) and C_F >= 0.0):
+    if isinstance(C_F, bool) or not (math.isfinite(C_F) and C_F >= 0.0):
         raise ArgumentError(f"functional constant must be finite and nonnegative, got {C_F!r}")
     alpha, c_k = system.kernel.holder_data()
     h = fill_distance(system.points)

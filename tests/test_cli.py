@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import jsonschema
 import pytest
 
 import rfl.cli
@@ -707,3 +708,42 @@ def test_flag_into_a_config_value_that_is_not_an_object_exits_2(tmp_path, monkey
     (tmp_path / "cfg.json").write_text(json.dumps({"kernel": 5, "m_list": [2, 4, 6, 8]}))
     argv = ["rates", "--config", str(tmp_path / "cfg.json"), "--sigma", "1"]
     assert _echo_run(argv, tmp_path, monkeypatch) == 2
+
+
+@pytest.mark.parametrize("command", sorted(rfl.cli._COMMAND_SCHEMAS))
+def test_command_schema_is_valid_against_its_metaschema(command):
+    schema = rfl.cli._COMMAND_SCHEMAS[command]
+    jsonschema.validators.validator_for(schema).check_schema(schema)
+
+
+BAD_CONFIGS = [
+    ("rates", {"kernel": {"family": "gaussian", "sigma": -1.0, "dim": 1}, "m_list": [2, 4, 6, 8]}),
+    ("rates", {"kernel": {"family": "gaussian"}, "m_list": [2, 4]}),
+    ("rates", {"kernel": {"family": "gaussian"}, "m_list": [2, 4, 6, 8], "bogus": 1}),
+    ("flm", {"kernel": {"sigma": 1.0}, "m_list": [2], "threads": 2}),
+    ("train", {"kernel": {"family": "gaussian"}, "m": 0, "epochs": "x", "widths": [1, 2, 3]}),
+    ("eigen", {"kernel": {"family": "gaussian"}, "m_list": ["a"], "d": 0}),
+]
+
+
+@pytest.mark.parametrize("command, cfg", BAD_CONFIGS)
+def test_cached_validator_reports_the_error_jsonschema_validate_raises(command, cfg):
+    with pytest.raises(jsonschema.ValidationError) as expected:
+        jsonschema.validate(cfg, rfl.cli._COMMAND_SCHEMAS[command])
+    where = "/".join(str(p) for p in expected.value.absolute_path) or "config"
+    with pytest.raises(ConfigError) as got:
+        rfl.cli._validate(cfg, command)
+    assert str(got.value) == f"invalid {command} config at {where}: {expected.value.message}"
+
+
+def test_cli_runs_do_not_check_the_metaschema(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("check_schema called during a run")
+
+    rfl.cli._validator.cache_clear()
+    monkeypatch.setattr(jsonschema.Draft202012Validator, "check_schema", refuse)
+    argv = ["eigen", *GAUSS_FLAGS, "--m-list", "1,2", "--out", str(tmp_path / "e")]
+    assert run(argv) == 0
+    assert run(argv) == 0
+    assert rfl.cli._validator("eigen") is rfl.cli._validator("eigen")
+    assert rfl.cli._validator.cache_info().misses == 1

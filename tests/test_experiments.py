@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import rfl.experiments
+import rfl.nets
+import rfl.rkhs
 from rfl import (
     ArgumentError,
     Dataset,
@@ -30,6 +33,7 @@ from rfl.rkhs import DEFAULT_SAMPLE_CENTERS
 GAUSS = Kernel("gaussian", sigma=1.0, dim=1)
 ENERGY = TargetFunctional(kind="l2_energy")
 LINEAR = TargetFunctional(kind="linear_integral", beta="one")
+GFLM = TargetFunctional(kind="gflm", beta="sin2pi", link="tanh")
 
 
 def test_kernel_label():
@@ -75,6 +79,20 @@ def test_generate_dataset_validation():
         generate_dataset(GAUSS, ENERGY, m=2, n_samples=0, seed=0)
     with pytest.raises(ArgumentError):
         generate_dataset(GAUSS, ENERGY, m=2, n_samples=10, seed=-1)
+
+
+@pytest.mark.parametrize("n_samples", [True, False, 10.5, 0.0])
+def test_generate_dataset_rejects_bool_sample_count(n_samples):
+    # n_samples=True used to return a one-row dataset
+    with pytest.raises(ArgumentError, match="n_samples"):
+        generate_dataset(GAUSS, ENERGY, m=2, n_samples=n_samples, seed=0)
+
+
+def test_generate_dataset_rejects_non_integral_and_bool_grid_sizes():
+    for m in (2.9, True):
+        with pytest.raises(ArgumentError):
+            generate_dataset(GAUSS, ENERGY, m=m, n_samples=5, seed=0)
+    assert generate_dataset(GAUSS, ENERGY, m=2.0, n_samples=5, seed=0).grid.grid_m == 2
 
 
 def test_dataset_csv():
@@ -164,6 +182,20 @@ def test_rate_study_power_validation():
         rate_study_power(GAUSS, [2, 4, 4, 8])
 
 
+@pytest.mark.parametrize(
+    "m_list, eval_resolution",
+    [
+        ([1.5, 2.5, 3.5, 4.5], None),  # used to report m = 1, 2, 3, 4
+        ([1, 2, 3, True], None),
+        ([2, 4, 6, 8], 64.7),  # used to evaluate on the grid of 64
+        ([2, 4, 6, 8], True),
+    ],
+)
+def test_rate_study_power_rejects_non_integral_sizes(m_list, eval_resolution):
+    with pytest.raises(ArgumentError, match="must be an integer"):
+        rate_study_power(GAUSS, m_list, eval_resolution=eval_resolution)
+
+
 def test_rate_study_power_divergence():
     # an extremely flat kernel pins every sup at the jitter floor, so the
     # fitted slope is nonnegative
@@ -191,6 +223,19 @@ def test_rate_study_eigen():
     assert rows[1][6] is True
     obj = study.to_json()
     assert len(obj["reports"]) == 3
+
+
+@pytest.mark.parametrize("m_list, d", [([2.9, 3.5], None), ([True, 2], None), ([1, 2], 1.5)])
+def test_rate_study_eigen_rejects_non_integral_sizes(m_list, d):
+    # [2.9, 3.5] used to report m = 2, 3
+    with pytest.raises(ArgumentError, match="must be an integer"):
+        rate_study_eigen(Kernel("sobolev", r=1.0, dim=1), m_list, d)
+
+
+def test_rate_study_eigen_accepts_integral_floats():
+    study = rate_study_eigen(Kernel("sobolev", r=1.0, dim=1), [2.0, np.int64(3)], 1.0)
+    assert [r.m for r in study.reports] == [2, 3]
+    assert study.d == 1
 
 
 def test_flm_experiment_smoke():
@@ -229,6 +274,79 @@ def test_flm_experiment_builds_one_gram_system_per_grid_size(monkeypatch):
     dec = error_decomposition(ds, config)
     assert dec.system is built[-1]
     assert "system" not in dec.to_json()
+
+
+@pytest.mark.parametrize(
+    "m_list, n_samples",
+    [([2.9], 10), ([2], 10.7), ([True], 10), ([2], True)],
+)
+def test_flm_experiment_rejects_non_integral_sizes(m_list, n_samples):
+    # m_list=[2.9], n_samples=10.7 used to run m = 2 on 10 samples
+    config = TrainConfig(epochs=1, widths=(4, 4), seed=0)
+    with pytest.raises(ArgumentError, match="must be an integer"):
+        flm_experiment("sin2pi", "tanh", GAUSS, m_list, config, n_samples=n_samples)
+
+
+def _decomposition_per_sample(dataset, config):
+    """The error decomposition through per-sample projections and a loss-curve training."""
+    system = rfl.rkhs.build_gram(dataset.kernel, dataset.grid)
+    projected = np.array(
+        [dataset.functional.value(rfl.rkhs.project(system, row)) for row in dataset.inputs]
+    )
+    net = rfl.nets.init(len(system), config.widths, config.seed)
+    report = rfl.nets.train(net, dataset, config)
+    preds = rfl.nets.forward_batch(net, dataset.inputs)
+    return (
+        float(np.abs(dataset.targets - projected).max()),
+        float(np.abs(projected - preds).max()),
+        float(np.abs(dataset.targets - preds).max()),
+        report,
+    )
+
+
+@pytest.mark.parametrize("functional", [ENERGY, LINEAR, GFLM])
+def test_error_decomposition_matches_per_sample_route(functional):
+    config = TrainConfig(epochs=4, batch_size=16, widths=(8, 8), seed=2)
+    ds = generate_dataset(GAUSS, functional, m=4, n_samples=60, seed=config.seed)
+    term_i, term_ii, total, report = _decomposition_per_sample(ds, config)
+    dec = error_decomposition(ds, config)
+    assert [dec.term_I, dec.term_II, dec.total] == [term_i, term_ii, total]
+    assert dec.train_report.loss_curve == []
+    assert report.loss_curve != []
+    assert dataclasses.replace(dec.train_report, loss_curve=report.loss_curve) == report
+
+
+def test_flm_experiment_matches_per_grid_datasets():
+    # the first grid's targets serve every grid, so the rows equal those of
+    # datasets drawn grid by grid
+    config = TrainConfig(epochs=2, batch_size=16, widths=(6, 6), seed=3)
+    exp = flm_experiment("sin2pi", "tanh", GAUSS, [1, 2, 4], config, n_samples=40)
+    for row in exp.rows:
+        ds = generate_dataset(GAUSS, GFLM, m=row.m, n_samples=40, seed=config.seed)
+        term_i, term_ii, total, report = _decomposition_per_sample(ds, config)
+        assert [row.term_I, row.term_II, row.total] == [term_i, term_ii, total]
+        assert row.heldout_sup_error == report.heldout_sup_error
+        assert row.heldout_mean_abs == report.heldout_mean_abs
+
+
+def test_flm_experiment_draws_every_grid_but_evaluates_targets_once(monkeypatch):
+    draws, values = [], []
+    sample, value = rfl.experiments.sample_unit_ball, TargetFunctional.value
+
+    def counting_sample(*args):
+        draws.append(args)
+        return sample(*args)
+
+    def counting_value(self, f):
+        values.append(f)
+        return value(self, f)
+
+    monkeypatch.setattr(rfl.experiments, "sample_unit_ball", counting_sample)
+    monkeypatch.setattr(TargetFunctional, "value", counting_value)
+    config = TrainConfig(epochs=1, widths=(4, 4), seed=0)
+    flm_experiment("sin2pi", "tanh", GAUSS, [1, 2, 4], config, n_samples=25)
+    assert len(draws) == 3 * 25
+    assert len(values) == 25
 
 
 def test_theorem_metadata_sobolev_frozen():

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+import rfl.functionals
 from rfl import (
     BETAS,
     LINKS,
@@ -25,9 +26,12 @@ from rfl import (
     RkhsFunction,
     TargetFunctional,
     UnsupportedConfigurationError,
+    build_gram,
     empirical_holder,
     linear_combination,
+    project,
     sample_unit_ball,
+    uniform_grid,
 )
 from rfl.functionals import _simpson_weights
 
@@ -385,3 +389,47 @@ def test_empirical_holder_validation():
         empirical_holder(tf, GAUSS, n_pairs=50, seed=0)
     with pytest.raises(UnsupportedConfigurationError):
         empirical_holder(tf, Kernel("gaussian", sigma=1.0, dim=2), n_pairs=100, seed=0)
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [GAUSS, Kernel("sobolev", r=1.25, dim=1), Kernel("inverse_multiquadric", sigma=1.0, dim=1)],
+    ids=["gaussian", "sobolev", "imq"],
+)
+@pytest.mark.parametrize("m", [2, 4, 8])
+def test_projected_values_bit_identical_to_per_sample_projection(kernel, m):
+    # error_decomposition's route: one solve per block of samples, one kernel
+    # matrix per functional, against value(project(system, row)) per sample
+    system = build_gram(kernel, uniform_grid(m, 1))
+    rows = np.array(
+        [sample_unit_ball(kernel, 10, 0.7, s).eval_at(system.points.points) for s in range(12)]
+    )
+    for tf in _bit_identity_cases():
+        batched = tf._projected_values(system, rows)
+        per_sample = [tf.value(project(system, row)) for row in rows]
+        assert [float(v).hex() for v in batched] == [v.hex() for v in per_sample], tf
+
+
+@pytest.mark.parametrize("m", [16, 32, 64, 200])
+def test_projected_values_bit_identical_on_larger_grids(m, monkeypatch):
+    # blocks of 7 rows leave a partial last block
+    monkeypatch.setattr(rfl.functionals, "_SOLVE_BLOCK", 7)
+    system = build_gram(GAUSS, uniform_grid(m, 1))
+    rows = np.array(
+        [sample_unit_ball(GAUSS, 10, 0.9, s).eval_at(system.points.points) for s in range(40)]
+    )
+    for tf in (
+        TargetFunctional(kind="gflm", beta="sin2pi", link="tanh"),
+        ode_map("sin_u_times_h", 0.0, 1.0, 0.5, 16),
+    ):
+        batched = tf._projected_values(system, rows)
+        per_sample = [tf.value(project(system, row)) for row in rows]
+        assert [float(v).hex() for v in batched] == [v.hex() for v in per_sample], tf
+
+
+def test_projected_values_need_dim_one():
+    kernel = Kernel("gaussian", sigma=1.0, dim=2)
+    system = build_gram(kernel, uniform_grid(2, 2))
+    for tf in (TargetFunctional(kind="l2_energy"), ode_map("u", 0.0, 1.0, 0.0, 16)):
+        with pytest.raises(UnsupportedConfigurationError, match="dim=1"):
+            tf._projected_values(system, np.zeros((3, len(system))))

@@ -63,6 +63,13 @@ def test_grid_validation():
         uniform_grid(2.5, 1)
 
 
+@pytest.mark.parametrize("m, d", [(True, 1), (False, 1), (2, True)])
+def test_grid_rejects_bool_sizes(m, d):
+    # uniform_grid(True, 1) used to build the 2-node grid of m = 1
+    with pytest.raises(ArgumentError, match="positive integer"):
+        uniform_grid(m, d)
+
+
 def test_fill_distance_grid_exact():
     assert fill_distance(uniform_grid(2, 1)) == pytest.approx(0.25, rel=1e-15)
     assert fill_distance(uniform_grid(2, 2)) == pytest.approx(

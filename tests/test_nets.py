@@ -474,3 +474,114 @@ def test_train_calls_module_gradient_once_per_minibatch(monkeypatch):
     train(init(1, (4, 4), seed=0), data, TrainConfig(epochs=3, batch_size=16, widths=(4, 4)))
     assert len(calls) == 3 * math.ceil(50 / 16)
     assert calls[:4] == [16, 16, 16, 2]
+
+
+@pytest.mark.parametrize(
+    "n, dim, widths, batch_size, epochs, schedule",
+    [
+        (256, 1, (8, 8), 64, 6, "cosine"),
+        (63, 1, (6, 5), 16, 5, "constant"),
+        (120, 3, (32, 16), 32, 1, "cosine"),
+        (120, 3, (32, 16), 32, 0, "cosine"),
+    ],
+)
+def test_train_without_loss_curve_matches_default(n, dim, widths, batch_size, epochs, schedule):
+    data = regression_dataset(n, dim)
+    config = TrainConfig(
+        epochs=epochs,
+        batch_size=batch_size,
+        learning_rate=3e-3,
+        seed=3,
+        widths=widths,
+        lr_schedule=schedule,
+    )
+    ref_net = init(dim, widths, seed=4)
+    ref = train(ref_net, data, config)
+    net = init(dim, widths, seed=4)
+    report = train(net, data, config, loss_curve=False)
+    assert report.loss_curve == []
+    assert len(ref.loss_curve) == epochs
+    for p, q in zip(net.parameters(), ref_net.parameters()):
+        assert p.tobytes() == q.tobytes()
+    assert hexes([report.final_train_mse]) == hexes([ref.final_train_mse])
+    assert hexes([report.heldout_sup_error, report.heldout_mean_abs]) == hexes(
+        [ref.heldout_sup_error, ref.heldout_mean_abs]
+    )
+    for name in ("epochs", "param_count", "seed"):
+        assert getattr(report, name) == getattr(ref, name)
+
+
+def test_train_without_loss_curve_skips_the_epoch_pass(monkeypatch):
+    passes = []
+    original = rfl.nets._forward_into
+
+    def counting(net, X, H1, H2):
+        passes.append(len(X))
+        return original(net, X, H1, H2)
+
+    monkeypatch.setattr(rfl.nets, "_forward_into", counting)
+    data = regression_dataset(63, 1)  # 50 training rows, 13 held out
+    config = TrainConfig(epochs=4, batch_size=16, widths=(4, 4))
+    train(init(1, (4, 4), seed=0), data, config)
+    full = passes.count(50)
+    passes.clear()
+    train(init(1, (4, 4), seed=0), data, config, loss_curve=False)
+    # the default runs one full pass per epoch; without the curve only the last epoch does
+    assert full == 4
+    assert passes.count(50) == 1
+    assert passes.count(13) == 1
+
+
+def _divergence(net, data, config, **kw):
+    with np.errstate(all="ignore"), pytest.raises(DivergenceError) as info:
+        train(net, data, config, **kw)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("case", ["nan_target", "huge_target", "learning_rate"])
+def test_train_without_loss_curve_diverges_like_default(case):
+    data = regression_dataset(64, 2)
+    config = TrainConfig(epochs=3, batch_size=16, widths=(5, 4), seed=1)
+    if case == "nan_target":
+        data.train_y = data.train_y.copy()
+        data.train_y[7] = np.nan
+    elif case == "huge_target":
+        data.train_y = np.full_like(data.train_y, 3e154)
+    else:
+        # the epoch-1 loss is finite (about 1e305); epoch 2 overflows
+        config = TrainConfig(
+            epochs=6,
+            batch_size=8,
+            widths=(5, 4),
+            seed=1,
+            learning_rate=2e153,
+            lr_schedule="constant",
+        )
+    ref_net, net = init(2, (5, 4), seed=2), init(2, (5, 4), seed=2)
+    message = _divergence(ref_net, data, config)
+    assert _divergence(net, data, config, loss_curve=False) == message
+    assert ("epoch 2 " in message) == (case == "learning_rate")
+    for p, q in zip(net.parameters(), ref_net.parameters()):
+        assert p.tobytes() == q.tobytes()
+
+
+def test_loss_bound_never_passes_on_non_finite_values():
+    abs_max = rfl.nets._abs_max
+    assert abs_max(np.array([0.5, -3.0, 2.0])) == 3.0
+    assert abs_max(np.zeros((0, 2))) == 0.0
+    for values in ([1.0, math.nan], [math.nan, 1.0]):
+        assert math.isnan(abs_max(np.array(values)))
+    assert abs_max(np.array([-math.inf, 1.0])) == math.inf
+    theta = np.ones(10)
+    a = theta[-3:]
+    assert rfl.nets._loss_is_finite(theta, a, 50, 3.0, 1.0)
+    assert not rfl.nets._loss_is_finite(theta, a, 50, 3.0, math.nan)
+    assert not rfl.nets._loss_is_finite(theta, a, 50, math.inf, 1.0)
+    assert not rfl.nets._loss_is_finite(theta, a, 50, 1e300, 1.0)
+    assert not rfl.nets._loss_is_finite(theta, a, 10**300, 3.0, 1.0)
+    for bad in (math.nan, math.inf):
+        theta[0] = bad
+        assert not rfl.nets._loss_is_finite(theta, a, 50, 3.0, 1.0)
+    theta[0] = 1.0
+    theta[-1] = math.nan
+    assert not rfl.nets._loss_is_finite(theta, a, 50, 3.0, 1.0)

@@ -86,6 +86,26 @@ def test_solve_roundtrip():
     assert np.allclose(sys4.solve(sys4.gram @ x), x, atol=1e-9)
 
 
+SOLVE_SYSTEMS = [
+    (Kernel("gaussian", sigma=1.0, dim=1), 12),  # jittered
+    (Kernel("gaussian", sigma=0.5, dim=1), 4),
+    (Kernel("gaussian", sigma=1.0, dim=2), 3),
+    (Kernel("sobolev", r=1.0, dim=1), 16),
+    (Kernel("sobolev", r=2.0, dim=1), 6),
+    (Kernel("inverse_multiquadric", sigma=1.0, beta=1.0, dim=1), 5),
+]
+
+
+@pytest.mark.parametrize("kernel, m", SOLVE_SYSTEMS)
+def test_matrix_solve_columns_equal_vector_solves(kernel, m):
+    # error_decomposition projects a block of samples with one solve
+    system = build_gram(kernel, uniform_grid(m, kernel.dim))
+    block = np.random.default_rng(m).standard_normal((50, len(system)))
+    batched = system.solve(block.T)
+    for j, row in enumerate(block):
+        assert batched[:, j].tobytes() == system.solve(row).tobytes()
+
+
 def test_project_frozen_two_nodes():
     # K = [[1, e^{-1/2}], [e^{-1/2}, 1]], data (1, 0); solved by hand:
     # c = (1/(1-q^2)) (1, -q) with q = e^{-1/2}

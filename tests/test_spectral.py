@@ -289,6 +289,14 @@ def test_holder_constant_G_rejects_bool_exponent_and_non_finite_constant(s, c_f)
         holder_constant_G(system, s, c_f)
 
 
+@pytest.mark.parametrize("c_f", [True, False])
+def test_holder_constant_G_rejects_bool_constant(c_f):
+    # True used to be read as 1.0 and returned 23.899935514765616
+    system = build_gram(GAUSS, uniform_grid(2, 1))
+    with pytest.raises(ArgumentError, match="functional constant"):
+        holder_constant_G(system, 1.0, c_f)
+
+
 def test_check_eigen_lower_bound_rejects_bool_m():
     with pytest.raises(ArgumentError, match="positive integer"):
         check_eigen_lower_bound(SOB1, True)
