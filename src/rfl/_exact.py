@@ -10,10 +10,10 @@ closed form here (see :func:`supports` and :func:`supports_grid`).
 attempt against its noise floor; :mod:`spectral` takes grid eigenvalues
 from here directly.
 
-The kernel profiles, the Gram entries, the grid eigensolve and the
-per-point substitutions run as direct ``mpmath.libmp`` calls on raw mpf
-tuples.  Each call is given the precision and the rounding mode (round to
-nearest) that the mpf operator it stands for would take from its context,
+The kernel profiles, the Gram entries, the grid eigensolve, the Cholesky
+factor and the substitutions run as direct ``mpmath.libmp`` calls on raw
+mpf tuples.  Each call is given the precision and the rounding mode (round
+to nearest) that the mpf operator it stands for would take from its context,
 and the calls run in the order the operator expressions evaluate, so the
 results are bit-identical to the object-level expressions while skipping
 their wrapper, context lookup and allocation costs.  The precision is an
@@ -34,26 +34,21 @@ permutes, is left out; the minimum is taken by comparison instead.
 
 libmp functions read no context state, so nothing here reads or writes the
 process-wide ``mpmath.mp`` precision and concurrent callers cannot change
-each other's working precision.  The node Gram is factored by
-``MPContext.cholesky`` in a private context.
+each other's working precision.  Everything here is deterministic and
+dependency-free apart from mpmath itself.
 
-:func:`schur_values` factors the node Gram once per call and then runs one
-forward and one back substitution per point.  The arithmetic is exactly
-that of calling ``cholesky_solve`` per point: the factor and both
-substitutions run 10 guard bits above the base precision, the same
-operations in the same order, so the results agree to the last bit.  Within
-a call the profile is evaluated once per distinct squared distance; libmp
-returns the same bits for the same input, so reusing a value changes none.
-
-Everything in this module is deterministic and dependency-free apart from
-mpmath itself.
+:func:`schur_values` factors the node Gram K = L L^T once per call as
+``MPContext.cholesky`` does, 10 guard bits up, and per point returns
+K(x,x) - |z|^2 from one forward substitution L z = k (Wendland, *Scattered
+Data Approximation*, 2005, sec. 11.1), with no back substitution or k . y;
+a point equal to a node returns exactly 0.  The profile is evaluated once
+per distinct squared distance within a call.
 """
 
 from __future__ import annotations
 
 from functools import cache
 
-import mpmath
 import numpy as np
 from mpmath.libmp import (
     MPZ_ONE,
@@ -113,12 +108,6 @@ def supports(kernel: Kernel) -> bool:
 def supports_grid(kernel: Kernel, d: int) -> bool:
     """Whether :func:`grid_lambda_min` covers the grid: gaussian in any d, the rest in d = 1."""
     return kernel.family == GAUSSIAN or (d == 1 and supports(kernel))
-
-
-def _context(prec: int) -> mpmath.MPContext:
-    ctx = mpmath.MPContext()
-    ctx.prec = prec
-    return ctx
 
 
 def _sum(terms, prec: int):
@@ -195,10 +184,6 @@ def _gram(profile, coords, prec: int) -> list:
         for j in range(i, n):
             K[i][j] = K[j][i] = profile(_sq_dist(coords[i], coords[j], prec))
     return K
-
-
-def _matrix(ctx: mpmath.MPContext, rows: list) -> mpmath.matrix:
-    return ctx.matrix([[ctx.make_mpf(v) for v in row] for row in rows])
 
 
 def _tridiagonalize(A: list, prec: int) -> tuple[list, list]:
@@ -362,49 +347,64 @@ def grid_lambda_min(kernel: Kernel, m: int, d: int) -> float:
     return to_float(mpf_pow_int(lam, d, prec, _RND), rnd=_RND)
 
 
+def _cholesky(K: list, prec: int) -> tuple[list, list]:
+    """``MPContext.cholesky`` of the raw symmetric rows ``K``: rows ``L[i, :i]`` and pivots.
+
+    Its ``fsum`` and ``fdot`` round a sum of exact products once; its pass
+    i == j over column j turns ``L[j, j] = sqrt(s)`` into ``s / sqrt(s)``.
+    A pivot ``s`` below its tolerance ``eps`` raises :class:`SingularGramError`.
+    """
+    eps = (0, MPZ_ONE, 1 - prec, 1)
+    lower = [[] for _ in K]
+    pivots = []
+    for j in range(len(K)):
+        row = lower[j]
+        s = mpf_sub(K[j][j], mpf_sum([mpf_mul(v, v) for v in row], prec, _RND), prec, _RND)
+        if mpf_lt(s, eps):
+            raise SingularGramError(f"extended-precision node Gram not positive at pivot {j}")
+        pivots.append(mpf_div(s, mpf_sqrt(s, prec, _RND), prec, _RND))
+        for i in range(j + 1, len(K)):
+            t = mpf_sum([mpf_mul(a, b) for a, b in zip(lower[i], row)], prec, _RND)
+            lower[i].append(mpf_div(mpf_sub(K[i][j], t, prec, _RND), pivots[j], prec, _RND))
+    return lower, pivots
+
+
 def schur_values(kernel: Kernel, nodes: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Exact Schur complements K(x,x) - k_x^T K^{-1} k_x at many points.
 
     ``nodes`` is the (N, d) node array and ``xs`` the (n, d) evaluation
     array; both are promoted coordinate-by-coordinate to mp floats, which
-    is lossless.  Returns a float64 array of nonnegative values; entries
-    below double-precision resolution round to the nearest representable
-    value rather than to an arbitrary negative residue.
+    is lossless.  Returns a float64 array of nonnegative values, exactly 0
+    at a node; entries below double-precision resolution round to the
+    nearest representable value rather than to an arbitrary negative
+    residue.  A node Gram that is not positive definite at the working
+    precision raises :class:`SingularGramError`.
     """
-    nodes = np.atleast_2d(nodes)
-    xs = np.atleast_2d(xs)
+    nodes = np.atleast_2d(np.asarray(nodes, dtype=float)).tolist()
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
     prec = dps_to_prec(_DPS)
     hi = prec + _GUARD_BITS
     # grids repeat squared distances: evaluate each distinct one once per call
     profile = cache(_profile(kernel, prec))
-    coords = [tuple(from_float(float(c)) for c in row) for row in nodes]
+    coords = [tuple(map(from_float, row)) for row in nodes]
     diag = profile(fzero)
-    # K = L L^T, factored in a context carrying the guard bits
-    hi_ctx = _context(hi)
-    L = hi_ctx.cholesky(_matrix(hi_ctx, _gram(profile, coords, prec)))
-    n = len(coords)
-    lower = [[L[i, j]._mpf_ for j in range(i)] for i in range(n)]
-    upper = [[L[j, i]._mpf_ for j in range(i + 1, n)] for i in range(n)]
-    pivots = [L[i, i]._mpf_ for i in range(n)]
-    out = np.empty(xs.shape[0])
+    # K = L L^T at the guard precision, as cholesky_solve factors it
+    lower, pivots = _cholesky(_gram(profile, coords, prec), hi)
+    hits = set(map(tuple, nodes))
+    out = np.zeros(len(xs))
     for idx, row in enumerate(xs):
-        x = tuple(from_float(float(c)) for c in row)
-        k = [profile(_sq_dist(c, x, prec)) for c in coords]
-        # forward substitution L z = k as in cholesky_solve (an fsum of
-        # products per row), then back substitution L^T y = z as in
-        # U_solve, both in place in y at the guard precision
-        y = list(k)
-        for i in range(n):
-            dot = mpf_sum([mpf_mul(l, z, hi, _RND) for l, z in zip(lower[i], y)], hi, _RND)
-            y[i] = mpf_div(mpf_sub(y[i], dot, hi, _RND), pivots[i], hi, _RND)
-        for i in range(n - 1, -1, -1):
-            yi = y[i]
-            for u, yj in zip(upper[i], y[i + 1 :]):
-                yi = mpf_sub(yi, mpf_mul(u, yj, hi, _RND), hi, _RND)
-            y[i] = mpf_div(yi, pivots[i], hi, _RND)
-        # k sits at the base precision, so k . y and the difference do too
-        dot = _sum((mpf_mul(kv, yv, prec, _RND) for kv, yv in zip(k, y)), prec)
-        s = mpf_sub(diag, dot, prec, _RND)
-        # max(s, 0): a negative residue (sign bit set) clamps to zero
-        out[idx] = 0.0 if s[0] else to_float(s, rnd=_RND)
+        if (x := tuple(row.tolist())) in hits:
+            continue
+        x = tuple(map(from_float, x))
+        # L z = k by cholesky_solve's forward substitution, at the guard precision
+        z = []
+        for c, row_l, pivot in zip(coords, lower, pivots):
+            dot = mpf_sum([mpf_mul(l, zj, hi, _RND) for l, zj in zip(row_l, z)], hi, _RND)
+            k = profile(_sq_dist(c, x, prec))
+            z.append(mpf_div(mpf_sub(k, dot, hi, _RND), pivot, hi, _RND))
+        # |z|^2 as one rounding of exact squares, subtracted at the base precision
+        s = mpf_sub(diag, mpf_sum([mpf_mul(v, v) for v in z], hi, _RND), prec, _RND)
+        # max(s, 0): a negative residue (sign bit set) stays zero
+        if not s[0]:
+            out[idx] = to_float(s, rnd=_RND)
     return out

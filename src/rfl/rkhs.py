@@ -14,8 +14,8 @@ computed in double precision; when a system is unjittered and the computed
 values fall below the double-precision noise floor, the affected batch is
 recomputed from exact node coordinates in extended precision (see
 :mod:`rfl._exact`).  That path factors the node Gram once per batch and
-runs the kernel profile and the per-point solves as raw ``mpmath.libmp``
-calls at an explicit precision, bit for bit the mpf operator arithmetic;
+runs the kernel profile and one forward substitution per point as raw
+``mpmath.libmp`` calls at an explicit precision, exact 0 at the nodes;
 it reads no shared mpmath state and so is safe under worker threads.
 Jittered systems never escalate: their Schur complement is an upper bound for the
 exact one and sits safely above the noise.  Spline kernels (sobolev orders

@@ -1,11 +1,12 @@
 """Extended-precision fallbacks: bit identity and isolation from mpmath.mp.
 
-The raw-arithmetic Schur and grid-eigenvalue paths are compared bit for bit
-against an oracle written here with mpmath number objects: the kernel
-profile and Gram as operator expressions, ``cholesky_solve`` per point and
-``eigsy`` on the object-level Gram, whose non-positive minima must raise.
-Worker threads are checked to neither leak a working precision into the
-process-wide mpmath context nor pick one up from each other.
+The raw-arithmetic paths are compared bit for bit against an oracle written
+here with mpmath number objects: the kernel profile and Gram as operator
+expressions, ``MPContext.cholesky`` for the node factor, ``eigsy`` on the
+object-level Gram, whose non-positive minima must raise, and
+``cholesky_solve`` per point at 50 and at 150 digits for Schur values off
+the nodes.  Worker threads are checked to neither leak a working precision
+into the process-wide mpmath context nor pick one up from each other.
 """
 
 from __future__ import annotations
@@ -16,12 +17,15 @@ from concurrent.futures import ThreadPoolExecutor
 import mpmath
 import numpy as np
 import pytest
+from mpmath.libmp import dps_to_prec, from_float
 
 from rfl import (
     Kernel,
     SingularGramError,
     UnsupportedConfigurationError,
     _exact,
+    build_gram,
+    power_values,
     rate_study_power,
     uniform_grid,
 )
@@ -30,9 +34,9 @@ from rfl.spectral import EXTENDED_MAX_M
 GAUSS = Kernel("gaussian", sigma=1.0, dim=1)
 
 
-def _reference_context():
+def _reference_context(dps=50):
     ctx = mpmath.MPContext()
-    ctx.dps = 50
+    ctx.dps = dps
     return ctx
 
 
@@ -59,9 +63,9 @@ def _reference_gram(ctx, kernel, coords):
     return K
 
 
-def _reference_schur(kernel, nodes, xs):
-    """Per-point ``cholesky_solve``: refactors the node Gram for every point."""
-    ctx = _reference_context()
+def _reference_schur(kernel, nodes, xs, dps=50):
+    """Per-point ``cholesky_solve`` at ``dps`` digits: refactors the node Gram for every point."""
+    ctx = _reference_context(dps)
     coords = [tuple(ctx.mpf(float(c)) for c in row) for row in nodes]
     K = _reference_gram(ctx, kernel, coords)
     diag = _reference_profile(ctx, kernel, ctx.mpf(0))
@@ -91,27 +95,63 @@ def _probe_points(nodes, seed):
     return np.clip(np.vstack([nodes, near, far]), 0.0, 1.0)
 
 
-@pytest.mark.parametrize(
-    "kernel, m",
-    [
-        (Kernel("gaussian", sigma=0.5, dim=1), 8),
-        (Kernel("gaussian", sigma=1.0, dim=2), 3),
-        (Kernel("sobolev", r=1.0, dim=1), 8),
-        (Kernel("sobolev", r=2.0, dim=1), 8),
-        (Kernel("inverse_multiquadric", sigma=1.0, beta=1.0, dim=1), 8),
-        # a non-integer exponent takes mpf_pow's exp-log route
-        (Kernel("inverse_multiquadric", sigma=0.7, beta=0.6, dim=1), 8),
-    ],
-)
+SCHUR_CASES = [
+    (Kernel("gaussian", sigma=0.5, dim=1), 8),
+    (Kernel("gaussian", sigma=1.0, dim=2), 3),
+    (Kernel("sobolev", r=1.0, dim=1), 8),
+    (Kernel("sobolev", r=2.0, dim=1), 8),
+    (Kernel("inverse_multiquadric", sigma=1.0, beta=1.0, dim=1), 8),
+    # a non-integer exponent takes mpf_pow's exp-log route
+    (Kernel("inverse_multiquadric", sigma=0.7, beta=0.6, dim=1), 8),
+]
+
+
+@pytest.mark.parametrize("kernel, m", SCHUR_CASES)
 def test_schur_values_bit_identical_to_per_point_solve(kernel, m):
     nodes = uniform_grid(m, kernel.dim).points
     xs = _probe_points(nodes, seed=m)
-    want = _reference_schur(kernel, nodes, xs)
+    # the nodes, and the near probes that np.clip moved onto the boundary nodes
+    node_set = set(map(tuple, nodes.tolist()))
+    on_node = np.array([x in node_set for x in map(tuple, xs.tolist())])
+    assert on_node.sum() > len(nodes)
     got = _exact.schur_values(kernel, nodes, xs)
-    assert got.tobytes() == want.tobytes()
-    # the nodes themselves exercise the clamp at zero
-    assert (got[: len(nodes)] == 0.0).any()
-    assert (got > 0.0).any()
+    off = ~on_node
+    assert got[off].tobytes() == _reference_schur(kernel, nodes, xs[off]).tobytes()
+    assert got[off].tobytes() == _reference_schur(kernel, nodes, xs[off], dps=150).tobytes()
+    assert got[on_node].tobytes() == np.zeros(on_node.sum()).tobytes()
+    assert (got[off] > 0.0).all()
+
+
+@pytest.mark.parametrize("kernel, m", SCHUR_CASES)
+def test_node_cholesky_bit_identical_to_mpcontext_cholesky(kernel, m):
+    prec = dps_to_prec(50)
+    hi = prec + _exact._GUARD_BITS
+    nodes = uniform_grid(m, kernel.dim).points
+    coords = [tuple(from_float(float(c)) for c in row) for row in nodes]
+    K = _exact._gram(_exact._profile(kernel, prec), coords, prec)
+    ctx = mpmath.MPContext()
+    ctx.prec = hi
+    want = ctx.cholesky(ctx.matrix([[ctx.make_mpf(v) for v in row] for row in K]))
+    lower, pivots = _exact._cholesky(K, hi)
+    n = len(coords)
+    assert [len(row) for row in lower] == list(range(n))
+    for i in range(n):
+        assert lower[i] == [want[i, j]._mpf_ for j in range(i)]
+        assert pivots[i] == want[i, i]._mpf_
+
+
+@pytest.mark.parametrize("m", [28, 32, 40])
+def test_schur_values_on_a_non_positive_node_gram_raise_singular(m):
+    # mpmath's own cholesky raises a bare ValueError on these node Grams
+    with pytest.raises(SingularGramError, match="node Gram not positive at pivot"):
+        _exact.schur_values(GAUSS, uniform_grid(m, 1).points, np.array([[0.013]]))
+
+
+def test_power_values_at_the_nodes_are_exactly_zero():
+    grid = uniform_grid(8, 1)
+    system = build_gram(GAUSS, grid)
+    assert system.jitter_used == 0.0
+    assert power_values(system, grid).tobytes() == np.zeros(len(grid.points)).tobytes()
 
 
 GRID_KERNELS = [
