@@ -10,27 +10,31 @@ closed form here (see :func:`supports` and :func:`supports_grid`).
 attempt against its noise floor; :mod:`spectral` takes grid eigenvalues
 from here directly.
 
-The kernel profiles, the Gram entries, the grid eigensolve, the Cholesky
-factor and the substitutions run as direct ``mpmath.libmp`` calls on raw
-mpf tuples.  Each call is given the precision and the rounding mode (round
-to nearest) that the mpf operator it stands for would take from its context,
-and the calls run in the order the operator expressions evaluate, so the
-results are bit-identical to the object-level expressions while skipping
-their wrapper, context lookup and allocation costs.  The precision is an
-argument of every helper.  The one departure in form is ``e ** y``:
+The kernel profiles, the Gram entries, the Householder reduction, the
+Cholesky factor and the substitutions run as direct ``mpmath.libmp`` calls
+on raw mpf tuples.  Each call is given the precision and the rounding mode
+(round to nearest) that the mpf operator it stands for would take from its
+context, and the calls run in the order the operator expressions evaluate,
+so the results are bit-identical to the object-level expressions while
+skipping their wrapper, context lookup and allocation costs.  The precision
+is an argument of every helper.  The one departure in form is ``e ** y``:
 mpf_pow takes ``log e`` afresh for every exponent that is not a
 half-integer, and here it is taken once per call at the same precision,
 which gives the same bits.
 
-The grid eigensolve is mpmath's own ``eigsy`` with ``eigvals_only=True``,
-replayed operation for operation on lists of raw values: the Householder
-reduction to tridiagonal form (EISPACK tred2) and the implicit QL
-iteration (imtql2).
-Where ``eigsy`` mixes in Python ints (accumulators starting from 0,
-``2 * x``, ``1 / x``, the first rotation's ``s, c, p = 1, 1, 0``), the
-replay makes the libmp call that the mpf operator makes for an int, so the
-eigenvalues are ``eigsy``'s bits.  Only the closing sort, which merely
-permutes, is left out; the minimum is taken by comparison instead.
+The grid eigensolve reduces the Gram matrix to tridiagonal form T with
+mpmath's own Householder reduction, the first half of ``eigsy`` (EISPACK
+tred2), replayed operation for operation; where ``eigsy`` mixes in Python
+ints (accumulators starting from 0, ``2 * x``, ``1 / x``), the replay
+makes the libmp call that the mpf operator makes for an int.  Only the
+smallest eigenvalue of T is wanted, so no QL sweep follows: Sturm counts,
+one O(n) pivot recurrence each (Barth, Martin & Wilkinson, *Numer. Math.*
+9, 1967; Kahan, *Accurate eigenvalues of a symmetric tri-diagonal matrix*,
+1966), bracket it, and Newton's method on det(T - mu I) from below closes
+the bracket.  The value is returned only if the bracket, widened by a bound
+on the rounding of the Gram entries and of the reduction, rounds to one
+double; otherwise the whole solve reruns at the precision the bracket shows
+it needs, up to a cap.
 
 libmp functions read no context state, so nothing here reads or writes the
 process-wide ``mpmath.mp`` precision and concurrent callers cannot change
@@ -55,6 +59,7 @@ from mpmath.libmp import (
     dps_to_prec,
     finf,
     fninf,
+    fnone,
     fone,
     from_float,
     from_int,
@@ -65,7 +70,6 @@ from mpmath.libmp import (
     mpf_e,
     mpf_exp,
     mpf_gt,
-    mpf_hypot,
     mpf_le,
     mpf_log,
     mpf_lt,
@@ -76,10 +80,10 @@ from mpmath.libmp import (
     mpf_pow,
     mpf_pow_int,
     mpf_rdiv_int,
+    mpf_shift,
     mpf_sqrt,
     mpf_sub,
     mpf_sum,
-    prec_to_dps,
     to_float,
 )
 
@@ -91,8 +95,16 @@ _DPS = 50
 _GUARD_BITS = 10
 # round to nearest, the rounding mode of every MPContext's mpf operators
 _RND = "n"
-# QL steps allowed per eigenvalue, per decimal digit (tridiag_eigen's 2 * dps)
-_QL_STEPS_PER_DIGIT = 2
+# Sturm counts allowed to refine one grid eigenvalue, per bit of working precision
+_STEPS_PER_BIT = 2
+# bound on the rounding of the grid Gram and its tridiagonal reduction, in
+# units of 2^-prec |T| per row of the matrix (the supported kernels at
+# m <= 32 and 169 or 338 bits stay below 2)
+_DELTA_ULPS = 64
+# bits kept past a double's 53 when a grid eigensolve reruns
+_MARGIN_BITS = 32
+# largest working precision of a grid eigensolve: three doublings of the base
+_MAX_PREC = 8 * dps_to_prec(_DPS)
 
 
 def supports(kernel: Kernel) -> bool:
@@ -235,78 +247,95 @@ def _tridiagonalize(A: list, prec: int) -> tuple[list, list]:
     return [A[i][i] for i in range(n)], E[1:] + [fzero]
 
 
-def _tridiagonal_eigenvalues(d: list, e: list, prec: int) -> list:
-    """Eigenvalues, unordered, of the raw tridiagonal (``d``, ``e``), in place in ``d``.
+def _sturm(d: list, e2: list, mu, prec: int):
+    """Sturm count and Newton step of the raw tridiagonal (``d``, ``e``) at the shift ``mu``.
 
-    Replays mpmath's ``tridiag_eigen(z=False)`` (EISPACK imtql2, implicit
-    QL with Dubrulle's change) short of its closing sort, which only
-    permutes.  More than ``_QL_STEPS_PER_DIGIT`` steps per decimal digit on
-    one eigenvalue raises :class:`SingularGramError`.
+    ``e2`` is ``[0, e_0 ** 2, e_1 ** 2, ...]``.  The pivots of
+    T - mu I = L D L^T, q_k = d_k - mu - e_{k-1}^2 / q_{k-1}, are negative
+    for as many eigenvalues as lie below mu (Barth, Martin & Wilkinson,
+    *Numer. Math.* 9, 1967); a zero pivot counts as negative.  Their
+    mu-derivatives give (log det(T - mu I))' = sum(q'_k / q_k), where
+    q'_k / q_k = (-1 + (e_{k-1}^2 / q_{k-1}) (q'_{k-1} / q_{k-1})) / q_k.
+    Returns the count and, when it is 0, Newton's step -1 / sum(q'_k / q_k)
+    on det(T - mu I), which from below the smallest eigenvalue stays below it.
+    """
+    neg = 0
+    q, g, s = fone, fzero, fzero
+    for dk, e2k in zip(d, e2):
+        r = mpf_div(e2k, q, prec, _RND)
+        q = mpf_sub(mpf_sub(dk, mu, prec, _RND), r, prec, _RND)
+        if q == fzero:
+            q = (1, MPZ_ONE, -2 * prec, 1)
+        neg += q[0]
+        g = mpf_div(mpf_add(fnone, mpf_mul(r, g, prec, _RND), prec, _RND), q, prec, _RND)
+        s = mpf_add(s, g, prec, _RND)
+    return neg, None if neg else mpf_rdiv_int(-1, s, prec, _RND)
+
+
+def _one_float(lo, hi, power: int, prec: int):
+    """The double that every value in [``lo``, ``hi``] ** ``power`` rounds to, or None."""
+    if not mpf_gt(lo, fzero):
+        return None
+    value = to_float(mpf_pow_int(lo, power, prec, "f"), rnd=_RND)
+    return value if value == to_float(mpf_pow_int(hi, power, prec, "c"), rnd=_RND) else None
+
+
+def _certified_power(d: list, e: list, power: int, delta, prec: int):
+    """``lambda_min(T) ** power`` of the raw tridiagonal (``d``, ``e``), if ``prec`` bits hold it.
+
+    Sturm counts bracket the smallest eigenvalue between ``lo`` (none below)
+    and ``hi`` (one below).  The search starts at the power of two under
+    Newton's step from 0, itself below lambda_min, and doubles until the
+    count turns, which it does below 2 min(d) as lambda_min <= min(d).
+    Then Newton's steps raise ``lo``, a bisection replaces any step that
+    would leave the bracket or fails to halve the step before it, and ``hi``
+    comes down to ``lo + n * step``, an upper bound because each of the n
+    terms of 1 / step is at most 1 / (lambda_min - lo).  The solve stops
+    once ``[lo - delta, hi + delta] ** power`` rounds to one double, or once
+    ``hi - lo <= delta`` leaves nothing to refine.  Returns ``(value, lo)``:
+    ``value`` is None unless it rounds to one double, and ``lo`` is None
+    when no lower end clears ``delta`` (lambda_min is not positive at this
+    precision).  More than ``_STEPS_PER_BIT`` counts per bit of ``prec``
+    raise :class:`SingularGramError`.
     """
     n = len(d)
-    limit = _QL_STEPS_PER_DIGIT * prec_to_dps(prec)
-    eps = (0, MPZ_ONE, 1 - prec, 1)
-    for l in range(n):
-        steps = 0
-        while True:
-            # look for a small subdiagonal element
-            m = l
-            while m + 1 < n:
-                size = mpf_add(
-                    mpf_abs(d[m], prec, _RND), mpf_abs(d[m + 1], prec, _RND), prec, _RND
-                )
-                if mpf_le(mpf_abs(e[m], prec, _RND), mpf_mul(eps, size, prec, _RND)):
-                    break
-                m += 1
-            if m == l:
-                break
-            if steps >= limit:
-                raise SingularGramError(f"no convergence to an eigenvalue after {limit} QL steps")
-            steps += 1
-            # form the shift
-            p = d[l]
-            g = mpf_div(
-                mpf_sub(d[l + 1], p, prec, _RND), mpf_mul_int(e[l], 2, prec, _RND), prec, _RND
-            )
-            r = mpf_hypot(g, fone, prec, _RND)
-            s = (mpf_sub if mpf_lt(g, fzero) else mpf_add)(g, r, prec, _RND)
-            g = mpf_add(mpf_sub(d[m], p, prec, _RND), mpf_div(e[l], s, prec, _RND), prec, _RND)
-            # s, c, p = 1, 1, 0 are Python ints until the first rotation;
-            # d - 0 subtracts from_int(0), which is fzero
-            s = c = None
-            p = fzero
-            for i in range(m - 1, l - 1, -1):
-                if s is None:
-                    f = b = mpf_mul_int(e[i], 1, prec, _RND)
-                else:
-                    f = mpf_mul(s, e[i], prec, _RND)
-                    b = mpf_mul(c, e[i], prec, _RND)
-                if mpf_gt(mpf_abs(f, prec, _RND), mpf_abs(g, prec, _RND)):
-                    c = mpf_div(g, f, prec, _RND)
-                    r = mpf_hypot(c, fone, prec, _RND)
-                    e[i + 1] = mpf_mul(f, r, prec, _RND)
-                    s = mpf_rdiv_int(1, r, prec, _RND)
-                    c = mpf_mul(c, s, prec, _RND)
-                else:
-                    s = mpf_div(f, g, prec, _RND)
-                    r = mpf_hypot(s, fone, prec, _RND)
-                    e[i + 1] = mpf_mul(g, r, prec, _RND)
-                    c = mpf_rdiv_int(1, r, prec, _RND)
-                    s = mpf_mul(s, c, prec, _RND)
-                g = mpf_sub(d[i + 1], p, prec, _RND)
-                r = mpf_add(
-                    mpf_mul(mpf_sub(d[i], g, prec, _RND), s, prec, _RND),
-                    mpf_mul(mpf_mul_int(c, 2, prec, _RND), b, prec, _RND),
-                    prec,
-                    _RND,
-                )
-                p = mpf_mul(s, r, prec, _RND)
-                d[i + 1] = mpf_add(g, p, prec, _RND)
-                g = mpf_sub(mpf_mul(c, r, prec, _RND), b, prec, _RND)
-            d[l] = mpf_sub(d[l], p, prec, _RND)
-            e[l] = g
-            e[m] = fzero
-    return d
+    e2 = [fzero] + [mpf_mul(v, v, prec, _RND) for v in e[:-1]]
+    neg, step = _sturm(d, e2, fzero, prec)
+    if neg:
+        return None, None
+
+    def certify(a, b):
+        return _one_float(mpf_sub(a, delta, prec, "f"), mpf_add(b, delta, prec, "c"), power, prec)
+
+    lo, hi, moved = fzero, None, None
+    x = (0, MPZ_ONE, step[2] + step[3] - 1, 1)
+    limit = _STEPS_PER_BIT * prec
+    for _ in range(limit):
+        neg, s = _sturm(d, e2, x, prec)
+        if neg:
+            hi = x
+        else:
+            lo, step = x, s
+        if hi is None:
+            x = mpf_shift(x, 1)
+            continue
+        if (value := certify(lo, hi)) is not None:
+            return value, lo
+        if mpf_le(mpf_sub(hi, lo, prec, "c"), delta):
+            return None, lo if mpf_gt(lo, delta) else None
+        reach = mpf_mul_int(step, n, prec, _RND)
+        up = mpf_add(lo, reach, prec, _RND)
+        newton = mpf_add(lo, step, prec, _RND)
+        if mpf_lt(lo, up) and mpf_lt(up, hi) and (mpf_le(reach, delta) or certify(lo, up)):
+            x = up
+        elif mpf_lt(lo, newton) and mpf_lt(newton, hi) and (
+            moved is None or mpf_le(mpf_mul_int(step, 2, prec, _RND), moved)
+        ):
+            x, moved = newton, step
+        else:
+            moved = mpf_shift(mpf_sub(hi, lo, prec, _RND), -1)
+            x = mpf_add(lo, moved, prec, _RND)
+    raise SingularGramError(f"no convergence after {limit} Sturm counts at {prec} bits")
 
 
 def grid_lambda_min(kernel: Kernel, m: int, d: int) -> float:
@@ -316,35 +345,58 @@ def grid_lambda_min(kernel: Kernel, m: int, d: int) -> float:
     power of the one-dimensional Gram (a product kernel on a full lattice),
     so the smallest eigenvalue in dimension d is the d-th power of the
     one-dimensional one.  That identity is exact, not an approximation, and
-    keeps the mp eigensolve at size m+1 instead of (m+1)^d.  A 1-D value
-    that is not positive (every digit cancelled), or an eigensolve that
-    does not converge, raises SingularGramError.
+    keeps the mp eigensolve at size m+1 instead of (m+1)^d.
+
+    The 1-D Gram is reduced to tridiagonal form and its smallest eigenvalue
+    bracketed by Sturm counts (see :func:`_certified_power`).  The bracket,
+    widened by delta = ``_DELTA_ULPS`` * (m+1) * 2^-prec * |T| for the
+    rounding of the Gram entries and of the Householder reduction, must
+    round to one double after the d-th power.  Otherwise the solve reruns
+    with log2(delta / lambda) + 53 + ``_MARGIN_BITS`` more bits, or at twice
+    the precision while the value is not positive.  A value that needs more than ``_MAX_PREC`` bits, a solve
+    that does not converge, or a power below the double range raises
+    :class:`SingularGramError`.
     """
     if not supports_grid(kernel, d):
         raise UnsupportedConfigurationError(
             f"no extended-precision grid eigenvalue for {kernel.family} in d={d}"
         )
     prec = dps_to_prec(_DPS)
-    # node i / m, as mpf(i) / m
-    coords = [(mpf_div(from_int(i), from_int(m), prec, _RND),) for i in range(m + 1)]
-    # the eigenvalues MPContext.eigsy returns for this Gram, bit for bit
-    try:
-        eigs = _tridiagonal_eigenvalues(
-            *_tridiagonalize(_gram(_profile(kernel, prec), coords, prec), prec), prec
+    while True:
+        # node i / m, as mpf(i) / m
+        coords = [(mpf_div(from_int(i), from_int(m), prec, _RND),) for i in range(m + 1)]
+        # grid distances repeat: evaluate the profile once per distinct squared distance
+        diag, off = _tridiagonalize(_gram(cache(_profile(kernel, prec)), coords, prec), prec)
+        # |T| <= its largest Gershgorin row sum
+        norm = max(
+            abs(to_float(a)) + abs(to_float(b)) + abs(to_float(c))
+            for a, b, c in zip(diag, [fzero, *off], off)
         )
-    except SingularGramError as exc:
-        msg = f"extended-precision 1-D grid eigensolve at m={m}: {exc}"
-        raise SingularGramError(msg) from None
-    lam = eigs[0]
-    for v in eigs[1:]:
-        if mpf_lt(v, lam):
-            lam = v
-    if mpf_le(lam, fzero):
-        raise SingularGramError(
-            f"extended-precision 1-D grid eigenvalue {to_float(lam, rnd=_RND):.3e} at m={m} "
-            "is not positive"
-        )
-    return to_float(mpf_pow_int(lam, d, prec, _RND), rnd=_RND)
+        delta = mpf_shift(from_float(_DELTA_ULPS * (m + 1) * norm), -prec)
+        try:
+            lam, lo = _certified_power(diag, off, d, delta, prec)
+        except SingularGramError as exc:
+            msg = f"extended-precision 1-D grid eigensolve at m={m}: {exc}"
+            raise SingularGramError(msg) from None
+        if lam is not None:
+            if lam < np.finfo(float).tiny:
+                raise SingularGramError(
+                    f"extended-precision grid eigenvalue at m={m}, d={d} is below the double range"
+                )
+            return lam
+        if lo is None:
+            need, why = 2 * prec, "is not positive"
+        else:
+            # log2(delta / lo) bits are lost; keep a double's 53 and a margin past them
+            lost = (delta[2] + delta[3]) - (lo[2] + lo[3])
+            need = prec + max(lost + 53, 0) + _MARGIN_BITS
+            why = "does not round to one double"
+        if need > _MAX_PREC:
+            raise SingularGramError(
+                f"extended-precision 1-D grid eigenvalue at m={m} {why} at {prec} bits, "
+                f"and {need} bits would pass the cap of {_MAX_PREC}"
+            )
+        prec = need
 
 
 def _cholesky(K: list, prec: int) -> tuple[list, list]:

@@ -25,8 +25,9 @@ from .rkhs import GramSystem, build_gram
 
 _EPS = float(np.finfo(float).eps)
 
-# largest grid m sent to the extended route; its raw-libmp eigensolve grows
-# like m^3 (sobolev r=1, d=1: 0.19 s at m=32, 1.1 s at m=64 on a 2-core Xeon)
+# largest grid m sent to the extended route; its raw-libmp Householder
+# reduction grows like m^3 (sobolev r=1, d=1: 0.08 s at m=32, 0.5 s at m=64;
+# gaussian sigma=1, which reruns at 676 bits: 0.15 s and 2.2 s; 2-core Xeon)
 EXTENDED_MAX_M = 64
 
 

@@ -206,19 +206,36 @@ def test_numerical_failure_exits_3(tmp_path):
     assert code == 3
 
 
+def test_extended_eigenvalue_keeps_its_double_past_50_digits(tmp_path):
+    # the 50-digit eigensolve printed 1.1148483482089017e-52 here; 150 digits give this
+    argv = ["eigen", "--kernel", "gaussian", "--sigma", "1", "--d", "1", "--m-list", "24"]
+    assert run([*argv, "--out", str(tmp_path / "e")]) == 0
+    row = read(tmp_path / "e" / "tables" / "eigen.csv").splitlines()[1]
+    assert row.split(",")[-4] == "1.0754863207487035e-56"
+
+
 def test_non_positive_extended_eigenvalue_exits_3(tmp_path, capsys):
-    # at m=32 the 50-digit eigensolve of the gaussian grid Gram loses every digit
-    argv = ["eigen", "--kernel", "gaussian", "--sigma", "1", "--d", "1", "--m-list", "24,32"]
+    # sigma=1e12 at m=16 leaves the grid Gram positive only below 2^-1352, the precision cap
+    argv = ["eigen", "--kernel", "gaussian", "--sigma", "1e12", "--d", "1", "--m-list", "8,16"]
     assert run([*argv, "--out", str(tmp_path / "e")]) == 3
-    assert "not positive" in capsys.readouterr().err
+    assert "at m=16 is not positive at 1352 bits" in capsys.readouterr().err
     assert not (tmp_path / "e").exists()
 
 
 def test_extended_eigensolve_without_convergence_exits_3(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr("rfl._exact._QL_STEPS_PER_DIGIT", 0)
+    monkeypatch.setattr("rfl._exact._STEPS_PER_BIT", 0)
     argv = ["eigen", "--kernel", "sobolev", "--r", "1", "--d", "1", "--m-list", "2,3"]
     assert run([*argv, "--out", str(tmp_path / "e")]) == 3
     assert "at m=2: no convergence" in capsys.readouterr().err
+    assert not (tmp_path / "e").exists()
+
+
+def test_extended_eigenvalue_past_the_precision_cap_exits_3(tmp_path, monkeypatch, capsys):
+    # gaussian sigma=1 keeps a double at 50 digits up to m=12, not at m=16
+    monkeypatch.setattr("rfl._exact._MAX_PREC", 169)
+    argv = ["eigen", "--kernel", "gaussian", "--sigma", "1", "--d", "1", "--m-list", "12,16"]
+    assert run([*argv, "--out", str(tmp_path / "e")]) == 3
+    assert "at m=16 does not round to one double at 169 bits" in capsys.readouterr().err
     assert not (tmp_path / "e").exists()
 
 

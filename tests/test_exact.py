@@ -2,11 +2,12 @@
 
 The raw-arithmetic paths are compared bit for bit against an oracle written
 here with mpmath number objects: the kernel profile and Gram as operator
-expressions, ``MPContext.cholesky`` for the node factor, ``eigsy`` on the
-object-level Gram, whose non-positive minima must raise, and
-``cholesky_solve`` per point at 50 and at 150 digits for Schur values off
-the nodes.  Worker threads are checked to neither leak a working precision
-into the process-wide mpmath context nor pick one up from each other.
+expressions, ``MPContext.cholesky`` for the node factor, ``eigsy`` at 150
+digits on the object-level Gram for grid eigenvalues, whose double must come
+back even where the 50-digit ``eigsy`` lost it, and ``cholesky_solve`` per
+point at 50 and at 150 digits for Schur values off the nodes.  Worker
+threads are checked to neither leak a working precision into the
+process-wide mpmath context nor pick one up from each other.
 """
 
 from __future__ import annotations
@@ -81,9 +82,9 @@ def _reference_schur(kernel, nodes, xs, dps=50):
     return np.array(out)
 
 
-def _reference_grid_lambda_min(kernel, m):
+def _reference_grid_lambda_min(kernel, m, dps=150):
     """Smallest eigenvalue, an mpf, of the object-level 1-D grid Gram by ``eigsy``."""
-    ctx = _reference_context()
+    ctx = _reference_context(dps)
     coords = [(ctx.mpf(i) / m,) for i in range(m + 1)]
     return min(ctx.eigsy(_reference_gram(ctx, kernel, coords), eigvals_only=True))
 
@@ -167,12 +168,7 @@ GRID_KERNELS = [
 
 def _check_grid_lambda_min(kernel, m):
     want = _reference_grid_lambda_min(kernel, m)
-    if want <= 0:
-        # every digit cancelled at 50 digits: the value must not come back
-        with pytest.raises(SingularGramError, match="not positive"):
-            _exact.grid_lambda_min(kernel, m, 1)
-    else:
-        assert _exact.grid_lambda_min(kernel, m, 1).hex() == float(want).hex()
+    assert _exact.grid_lambda_min(kernel, m, 1).hex() == float(want).hex()
     return want
 
 
@@ -189,10 +185,18 @@ def test_grid_lambda_min_bit_identical_to_object_level_eigsy(kernel, m):
         (Kernel("inverse_multiquadric", sigma=0.7, beta=0.6, dim=1), EXTENDED_MAX_M, False),
         (GAUSS, 23, False),
         (Kernel("gaussian", sigma=2.0, dim=1), 24, False),
+        # positive at 50 digits, but with 14 to 6 digits left, not a double's 16
+        (GAUSS, 17, True),
+        (GAUSS, 18, True),
+        (GAUSS, 19, True),
+        (GAUSS, 20, True),
     ],
 )
 def test_grid_lambda_min_at_the_cap_and_where_eigsy_is_not_positive(kernel, m, positive):
-    assert (_check_grid_lambda_min(kernel, m) > 0) == positive
+    # ``positive`` is the sign of eigsy's minimum at 50 digits; either way
+    # the double of the 150-digit minimum comes back
+    assert (_reference_grid_lambda_min(kernel, m, dps=50) > 0) == positive
+    assert _check_grid_lambda_min(kernel, m) > 0
 
 
 @pytest.mark.parametrize("sigma, m", [(0.5, 8), (1.0, 4), (1.0, 12), (2.0, 16)])
@@ -214,9 +218,28 @@ def test_grid_lambda_min_does_not_call_eigsy(monkeypatch):
 
 
 def test_grid_lambda_min_iteration_limit_raises(monkeypatch):
-    monkeypatch.setattr(_exact, "_QL_STEPS_PER_DIGIT", 0)
-    with pytest.raises(SingularGramError, match="at m=4: no convergence .* after 0 QL steps"):
+    monkeypatch.setattr(_exact, "_STEPS_PER_BIT", 0)
+    with pytest.raises(SingularGramError, match="at m=4: no convergence after 0 Sturm counts"):
         _exact.grid_lambda_min(Kernel("sobolev", r=1.0, dim=1), 4, 1)
+
+
+def test_grid_lambda_min_below_the_double_range_raises():
+    # the 1-D value at sigma=1000, m=24 is near 1e-200: its square has no double
+    with pytest.raises(SingularGramError, match="at m=24, d=2 is below the double range"):
+        _exact.grid_lambda_min(Kernel("gaussian", sigma=1000.0, dim=2), 24, 2)
+
+
+@pytest.mark.parametrize("kernel", GRID_KERNELS)
+def test_grid_lambda_min_agrees_with_eigvalsh(kernel):
+    # double-precision eigenvalues are good to about 1e-15 |A|; judge only those well above that
+    for m in range(1, 13):
+        lam = _exact.grid_lambda_min(kernel, m, 1)
+        nodes = uniform_grid(m, 1).points
+        gram = kernel.pairwise(nodes, nodes)
+        norm = np.linalg.norm(gram, 2)
+        assert lam > 0
+        if lam / norm > 1e-10:
+            assert abs(lam - np.linalg.eigvalsh(gram)[0]) <= 1e-8 * norm
 
 
 def test_threads_keep_global_precision_and_values():

@@ -193,15 +193,25 @@ def test_lambda_min_accurate_past_extended_cap():
 
 
 def test_non_positive_extended_eigenvalue_raises():
-    # at 50 digits the 1-D gaussian sigma=1 grid Gram at m=32 comes out
-    # indefinite (true value 6.7e-80); it must not become a negative
-    # eigenvalue or a negative Hölder constant
-    grid = uniform_grid(32, 1)
-    system = build_gram(GAUSS, grid)
+    # the gaussian sigma=1e12 grid Gram at m=16 is positive only below
+    # 2^-1352, the precision cap; it must not become a negative eigenvalue
+    # or a negative Hölder constant
+    flat = Kernel("gaussian", sigma=1e12, dim=1)
+    grid = uniform_grid(16, 1)
+    system = build_gram(flat, grid)
     with pytest.raises(SingularGramError, match="not positive"):
-        lambda_min_accurate(GAUSS, grid, system.gram)
+        lambda_min_accurate(flat, grid, system.gram)
     with pytest.raises(SingularGramError):
         holder_constant_G(system, 1.0, 1.0)
+
+
+def test_holder_constant_takes_the_extended_eigenvalue_past_50_digits():
+    # at m=24 the 50-digit eigenvalue 1.1e-52 gave 9.34e50 here
+    system = build_gram(GAUSS, uniform_grid(24, 1))
+    alpha, c_k = GAUSS.holder_data()
+    h = fill_distance(system.points)
+    want = 1.0 + math.sqrt(25) * c_k * h**alpha / 1.0754863207487035e-56
+    assert holder_constant_G(system, 1.0, 1.0) == pytest.approx(want, rel=1e-12)
 
 
 def test_check_eigen_lower_bound_frozen_sobolev():
