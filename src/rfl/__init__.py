@@ -26,13 +26,11 @@ from .functionals import (
     LINKS,
     ODE_RHS,
     TargetFunctional,
-    empirical_holder,
 )
 from .geometry import (
     PointSet,
     fill_distance,
     halton_points,
-    separation_radius,
     uniform_grid,
 )
 from .kernels import (
@@ -48,7 +46,6 @@ from .nets import (
     TrainConfig,
     TrainReport,
     WidthSchedule,
-    forward,
     forward_batch,
     gradient,
     init,
@@ -61,9 +58,6 @@ from .rkhs import (
     RkhsFunction,
     build_gram,
     default_power_eval_set,
-    linear_combination,
-    nodal_eval,
-    power_function,
     power_function_sup,
     power_values,
     project,
@@ -132,11 +126,9 @@ __all__ = [
     "build_gram",
     "check_eigen_lower_bound",
     "default_power_eval_set",
-    "empirical_holder",
     "error_decomposition",
     "fill_distance",
     "flm_experiment",
-    "forward",
     "forward_batch",
     "generate_dataset",
     "gradient",
@@ -145,11 +137,8 @@ __all__ = [
     "init",
     "kernel_label",
     "lambda_min_accurate",
-    "linear_combination",
     "loss_mse",
     "m_d_constant",
-    "nodal_eval",
-    "power_function",
     "power_function_sup",
     "power_values",
     "project",
@@ -158,7 +147,6 @@ __all__ = [
     "rkhs_inner",
     "rkhs_norm",
     "sample_unit_ball",
-    "separation_radius",
     "smallest_eigenvalue",
     "sup_error",
     "theorem_metadata",

@@ -114,11 +114,8 @@ _OPTIONS = {
     ),
     "threads": (
         "--threads",
-        {
-            "help": "worker threads for per-grid-size studies (default 1 for reproducibility); "
-            "rates and eigen only, the other commands accept just 1"
-        },
-        _POS_INT,
+        {"help": "worker threads; every command runs on one, so only 1 is accepted"},
+        {**_POS_INT, "maximum": 1},
     ),
     "plots": (
         "--plots", {"action": "store_true", "help": "also write SVG plots"}, {"type": "boolean"}
@@ -201,10 +198,6 @@ _COMMAND_SCHEMAS = {command: _command_schema(keys) for command, (_, keys) in _CO
 # eigen's --d sets both kernel.dim and this top-level d (see _merge_config)
 _COMMAND_SCHEMAS["eigen"]["properties"]["d"] = _POS_INT
 _COMMAND_SCHEMAS["rates"]["properties"]["m_list"] = {**_M_LIST, "minItems": 4}
-# only rates and eigen run per-grid-size studies on threads; the other
-# commands accept --threads 1 and reject any other count
-for _command in ("project", "train", "flm", "meta"):
-    _COMMAND_SCHEMAS[_command]["properties"]["threads"] = {**_POS_INT, "maximum": 1}
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
@@ -368,9 +361,7 @@ def write_outputs(outdir: Path, payload: dict, tables: dict, plots: dict | None 
 def _cmd_rates(cfg: dict):
     kernel = _kernel_from(cfg)
     m_list = _require(cfg, "m_list")
-    study = rate_study_power(
-        kernel, m_list, cfg.get("eval_resolution"), threads=int(cfg.get("threads", 1))
-    )
+    study = rate_study_power(kernel, m_list, cfg.get("eval_resolution"))
     payload = {"command": "rates", "config": cfg, "study": study.to_json()}
     tables = {"rates": study.table()}
     series = [(kernel_label(kernel), [float(m) for m in study.m_list], study.sups)]
@@ -381,7 +372,7 @@ def _cmd_rates(cfg: dict):
 def _cmd_eigen(cfg: dict):
     kernel = _kernel_from(cfg)
     m_list = _require(cfg, "m_list")
-    study = rate_study_eigen(kernel, m_list, cfg.get("d"), threads=int(cfg.get("threads", 1)))
+    study = rate_study_eigen(kernel, m_list, cfg.get("d"))
     payload = {"command": "eigen", "config": cfg, "study": study.to_json()}
     tables = {"eigen": study.table()}
     ms = [float(r.m) for r in study.reports]

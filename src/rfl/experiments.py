@@ -15,7 +15,6 @@ evaluates their targets once.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,15 +81,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return self.inputs.shape[0]
-
-    def to_csv(self) -> str:
-        cols = [f"x{i}" for i in range(self.inputs.shape[1])]
-        lines = [",".join(cols + ["y", "split"])]
-        for i in range(len(self)):
-            split = "train" if i < self.n_train else "heldout"
-            row = [repr(float(v)) for v in self.inputs[i]] + [repr(float(self.targets[i])), split]
-            lines.append(",".join(row))
-        return "\n".join(lines) + "\n"
 
 
 def _unit_ball_draws(kernel: Kernel, n_samples: int, seed: int, n_centers: int):
@@ -251,16 +241,8 @@ class PowerRateStudy(Report):
         return header, rows
 
 
-def _map_over(fn, items, threads: int):
-    """Ordered map, optionally through a thread pool for independent items."""
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-        return list(pool.map(fn, items))
-
-
 def rate_study_power(
-    kernel: Kernel, m_list, eval_resolution: int | None = None, threads: int = 1
+    kernel: Kernel, m_list, eval_resolution: int | None = None
 ) -> PowerRateStudy:
     """Fit the decay of the squared power-function sup across grid sizes.
 
@@ -279,15 +261,11 @@ def rate_study_power(
         eval_resolution = _count(eval_resolution, "eval_resolution")
     if len(m_list) < 4 or any(b <= a for a, b in zip(m_list, m_list[1:])):
         raise ArgumentError("m_list must be strictly increasing with at least 4 entries")
-
-    def _sup_for(m: int) -> float:
-        system = build_gram(kernel, uniform_grid(m, kernel.dim))
-        eval_set = (
-            uniform_grid(eval_resolution, kernel.dim) if eval_resolution is not None else None
-        )
-        return power_function_sup(system, eval_set)
-
-    sups = _map_over(_sup_for, m_list, threads)
+    eval_set = uniform_grid(eval_resolution, kernel.dim) if eval_resolution is not None else None
+    sups = [
+        power_function_sup(build_gram(kernel, uniform_grid(m, kernel.dim)), eval_set)
+        for m in m_list
+    ]
     log_sup_sq = 2.0 * np.log(sups)
     if kernel.family == SOBOLEV:
         xs, fit_kind = np.log(m_list), "log_sup_sq_vs_log_m"
@@ -344,13 +322,11 @@ class EigenRateStudy(Report):
         return header, rows
 
 
-def rate_study_eigen(
-    kernel: Kernel, m_list, d: int | None = None, threads: int = 1
-) -> EigenRateStudy:
+def rate_study_eigen(kernel: Kernel, m_list, d: int | None = None) -> EigenRateStudy:
     """Smallest eigenvalue against the spectral bound for each grid size."""
     d = _count(kernel.dim if d is None else d, "d")
     m_list = [_count(m, "m") for m in m_list]
-    reports = _map_over(lambda m: check_eigen_lower_bound(kernel, m, d), m_list, threads)
+    reports = [check_eigen_lower_bound(kernel, m, d) for m in m_list]
     return EigenRateStudy(kernel=kernel, d=d, reports=reports)
 
 

@@ -1,5 +1,5 @@
-"""Target functionals on the unit ball: integral maps, an ODE endpoint map,
-a quadratic energy, and empirical Hölder-ratio estimation.
+"""Target functionals on the unit ball: integral maps, an ODE endpoint map
+and a quadratic energy.
 
 :class:`TargetFunctional` is the one API: it checks every setting once, when
 it is built, and evaluates each kind itself.  Each configured functional is
@@ -19,22 +19,14 @@ from numbers import Real
 import numpy as np
 
 from .errors import ArgumentError, DivergenceError, UnsupportedConfigurationError
-from .geometry import uniform_grid
 from .kernels import Kernel
-from .rkhs import (
-    DEFAULT_SAMPLE_CENTERS,
-    _NORM_TARGET_RANGE,
-    GramSystem,
-    RkhsFunction,
-    sample_unit_ball,
-)
+from .rkhs import GramSystem, RkhsFunction
 
 DEFAULT_QUADRATURE_POINTS = 257
 _MIN_QUADRATURE_POINTS = 33
 # rows per Gram solve in _projected_values; one solve of all 4000 rows of
 # an flm dataset left the process's peak RSS about 0.3 MB higher
 _SOLVE_BLOCK = 256
-_HOLDER_GRID_M = 2048
 _FLOAT_MAX = sys.float_info.max
 
 LINKS = {
@@ -279,32 +271,3 @@ class TargetFunctional:
             ode=obj.get("ode"),
             quadrature_points=obj.get("quadrature_points", DEFAULT_QUADRATURE_POINTS),
         )
-
-
-def empirical_holder(
-    functional: TargetFunctional, kernel: Kernel, n_pairs: int, seed: int
-) -> float:
-    """Largest observed ratio |F(f) - F(g)| / |f - g|_sup over sampled pairs.
-
-    Pairs are independent unit-ball samples of ``DEFAULT_SAMPLE_CENTERS``
-    centers each; sup norms are taken on the uniform grid with m = 2048,
-    so the estimate approaches the true constant from below.
-    Deterministic per seed.
-    """
-    if not (isinstance(n_pairs, (int, np.integer)) and n_pairs >= 100):
-        raise ArgumentError(f"n_pairs must be an integer >= 100, got {n_pairs!r}")
-    if kernel.dim != 1:
-        raise UnsupportedConfigurationError("empirical Hölder ratios are implemented for dim=1")
-    rng = np.random.default_rng(seed)
-    t = uniform_grid(_HOLDER_GRID_M, 1).points
-    best = 0.0
-    for _ in range(int(n_pairs)):
-        s1, s2 = rng.integers(0, 2**63 - 1, size=2)
-        target1, target2 = rng.uniform(*_NORM_TARGET_RANGE, size=2)
-        f = sample_unit_ball(kernel, DEFAULT_SAMPLE_CENTERS, float(target1), int(s1))
-        g = sample_unit_ball(kernel, DEFAULT_SAMPLE_CENTERS, float(target2), int(s2))
-        dist = float(np.abs(f.eval_at(t) - g.eval_at(t)).max())
-        if dist <= 1e-12:
-            continue
-        best = max(best, abs(functional.value(f) - functional.value(g)) / dist)
-    return best

@@ -1,9 +1,9 @@
-"""Point sets on the unit cube: uniform grids, fill distance, separation.
+"""Point sets on the unit cube: uniform grids, Halton probes, fill distance.
 
 A PointSet is an immutable ordered collection of points in [0, 1]^d.  Sets
 built by :func:`uniform_grid` remember their lattice parameter m, which
-unlocks exact closed forms for the fill distance and separation radius;
-arbitrary sets fall back to probe-based estimates and pairwise scans.
+unlocks the exact closed form of the fill distance; arbitrary sets fall
+back to a probe-based estimate.
 """
 
 from __future__ import annotations
@@ -128,17 +128,3 @@ def fill_distance(points: PointSet) -> float:
         return float(np.sqrt(points.dim) / (2.0 * points.grid_m))
     probe = halton_points(_PROBE_COUNT, points.dim)
     return float(_min_dists_to(points.points, probe.points).max())
-
-
-def separation_radius(points: PointSet) -> float:
-    """Half the distance between the two closest points of the set."""
-    if len(points) < 2:
-        raise ArgumentError("separation radius needs at least two points")
-    if points.grid_m is not None:
-        return 1.0 / (2.0 * points.grid_m)
-    best = np.inf
-    for i0, d2 in _sq_dist_blocks(points.points, points.points):
-        for i in range(d2.shape[0]):
-            d2[i, i0 + i] = np.inf
-        best = min(best, float(d2.min()))
-    return 0.5 * float(np.sqrt(best))

@@ -90,22 +90,12 @@ class Kernel:
 
     # -- evaluation ---------------------------------------------------
 
-    def eval(self, u, v) -> float:
-        """Kernel value K(u, v) for two points of [0, 1]^dim.
-
-        Symmetry is exact at the bit level because the value only depends
-        on the squared coordinate differences.
-        """
-        u = _as_point(u, self.dim)
-        v = _as_point(v, self.dim)
-        return float(self.pairwise(u[None, :], v[None, :])[0, 0])
-
     def pairwise(self, X, Y) -> np.ndarray:
         """Matrix of kernel values between two point arrays.
 
         X has shape (n, dim) and Y shape (p, dim); the result is (n, p).
-        The scalar :meth:`eval` routes through this method so that both
-        paths produce identical floating-point results.
+        The values depend only on squared coordinate differences, so
+        swapping X and Y transposes the result bit for bit.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         Y = np.atleast_2d(np.asarray(Y, dtype=float))
@@ -153,25 +143,6 @@ class Kernel:
 
     # -- spectral side ------------------------------------------------
 
-    def fourier_transform(self, xi) -> float:
-        """Spectral density at frequency xi (scalar or length-dim vector).
-
-        Available for the gaussian and sobolev families; the inverse
-        multiquadric transform is deliberately not implemented.
-        """
-        if self.family == INVERSE_MULTIQUADRIC:
-            raise UnsupportedConfigurationError(
-                "no Fourier transform implemented for the inverse multiquadric kernel"
-            )
-        xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        if xi.size != self.dim:
-            raise ArgumentError(f"frequency must have {self.dim} components, got {xi.size}")
-        q2 = float(xi @ xi)
-        if self.family == GAUSSIAN:
-            amp = (2.0 * self.sigma**2 * math.pi) ** (self.dim / 2.0)
-            return amp * math.exp(-2.0 * self.sigma**2 * math.pi**2 * q2)
-        return (1.0 + q2) ** (-self.r)
-
     def gamma_m(self, m: int) -> float:
         """Minimum of the spectral density over the cube [-m/2, m/2]^dim.
 
@@ -198,8 +169,7 @@ class Kernel:
 
         The bound reads |K(u, v) - K(u, w)| <= C_K |v - w|^alpha.  The
         gaussian and inverse multiquadric constants are closed forms; the
-        sobolev constant is estimated by sampling (see
-        :attr:`holder_is_estimate`).
+        sobolev constant is estimated by sampling.
         """
         root_d = math.sqrt(self.dim)
         if self.family == GAUSSIAN:
@@ -208,11 +178,6 @@ class Kernel:
             return 1.0, 2.0 * root_d * self.beta * self.sigma ** (-2.0 * self.beta - 2.0)
         alpha = min(1.0, self.r - self.dim / 2.0)
         return alpha, _sobolev_holder_constant(float(self.r), int(self.dim), alpha)
-
-    @property
-    def holder_is_estimate(self) -> bool:
-        """True when the Hölder constant is sampled rather than closed form."""
-        return self.family == SOBOLEV
 
     # -- serialization ------------------------------------------------
 
@@ -236,13 +201,6 @@ class Kernel:
         if "dim" in kw:
             kw["dim"] = int(kw["dim"])
         return Kernel(**kw)
-
-
-def _as_point(p, dim: int) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(p, dtype=float))
-    if arr.shape != (dim,):
-        raise ArgumentError(f"expected a point with {dim} coordinates, got shape {arr.shape}")
-    return arr
 
 
 def _sq_dists(X: np.ndarray, Y: np.ndarray) -> np.ndarray:

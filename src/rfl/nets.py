@@ -139,18 +139,10 @@ def _forward_into(net: TanhNetwork, X: np.ndarray, H1: np.ndarray, H2: np.ndarra
     return H2 @ net.a
 
 
-def forward(net: TanhNetwork, x) -> float:
-    """Scalar output for one input vector."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != (net.input_dim,):
-        raise ArgumentError(f"expected an input of length {net.input_dim}, got {x.shape}")
-    return float(forward_batch(net, x[None, :])[0])
-
-
 def gradient(net: TanhNetwork, X, y) -> list[np.ndarray]:
     """Exact gradients of the half-mean-squared-error loss on a batch.
 
-    The loss is 0.5 * mean((forward(x) - y)^2); returns gradients in the
+    The loss is 0.5 * mean((net(x) - y)^2); returns gradients in the
     order of :meth:`TanhNetwork.parameters`.  The forward pass is the one
     :func:`forward_batch` runs, with its hidden layers kept for backprop.
     """

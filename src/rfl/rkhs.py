@@ -15,8 +15,7 @@ values fall below the double-precision noise floor, the affected batch is
 recomputed from exact node coordinates in extended precision (see
 :mod:`rfl._exact`).  That path factors the node Gram once per batch and
 runs the kernel profile and one forward substitution per point as raw
-``mpmath.libmp`` calls at an explicit precision, exact 0 at the nodes;
-it reads no shared mpmath state and so is safe under worker threads.
+``mpmath.libmp`` calls at an explicit precision, exact 0 at the nodes.
 Jittered systems never escalate: their Schur complement is an upper bound for the
 exact one and sits safely above the noise.  Spline kernels (sobolev orders
 other than r in {1, 2}) are only accurate to double precision and never
@@ -100,9 +99,6 @@ class RkhsFunction:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         return self.kernel.pairwise(X, self.centers) @ self.coeffs
 
-    def __call__(self, x) -> float:
-        return float(self.eval_at(np.atleast_2d(np.asarray(x, dtype=float)))[0])
-
     def to_json(self) -> dict:
         return {
             "kernel": self.kernel.to_json(),
@@ -158,16 +154,6 @@ def build_gram(kernel: Kernel, points: PointSet) -> GramSystem:
         jitter_used=float(jitter),
         condition_estimate=cond,
     )
-
-
-def nodal_eval(system: GramSystem, i: int, x) -> float:
-    """Value of the i-th nodal basis function at x (0-based node index)."""
-    n = len(system)
-    if not (isinstance(i, (int, np.integer)) and 0 <= i < n):
-        raise ArgumentError(f"node index must lie in [0, {n}), got {i!r}")
-    X = np.atleast_2d(np.asarray(x, dtype=float))
-    k_x = system.kernel.pairwise(system.points.points, X)[:, 0]
-    return float(system.solve(k_x)[i])
 
 
 def project(system: GramSystem, node_values) -> RkhsFunction:
@@ -231,12 +217,6 @@ def _power_squared(system: GramSystem, X: np.ndarray, mode: str) -> np.ndarray:
     return np.maximum(s, 0.0)
 
 
-def power_function(system: GramSystem, x) -> float:
-    """Worst-case interpolation error factor at a single point."""
-    X = np.atleast_2d(np.asarray(x, dtype=float))
-    return float(np.sqrt(_power_squared(system, X, mode="point")[0]))
-
-
 def power_values(system: GramSystem, eval_points) -> np.ndarray:
     """Power function on a batch of points with pointwise guarantees."""
     X = eval_points.points if isinstance(eval_points, PointSet) else np.atleast_2d(
@@ -277,21 +257,6 @@ def rkhs_inner(f: RkhsFunction, g: RkhsFunction) -> float:
 def rkhs_norm(f: RkhsFunction) -> float:
     """Native-space norm sqrt(<f, f>); round-off below zero clamps to 0."""
     return float(np.sqrt(max(rkhs_inner(f, f), 0.0)))
-
-
-def linear_combination(fs, weights) -> RkhsFunction:
-    """Weighted sum of kernel combinations as a single combination."""
-    fs = list(fs)
-    weights = list(weights)
-    if len(fs) == 0 or len(fs) != len(weights):
-        raise ArgumentError("need matching nonempty function and weight lists")
-    kernel = fs[0].kernel
-    for f in fs[1:]:
-        if f.kernel != kernel:
-            raise ArgumentError("all combined functions must share one kernel")
-    centers = np.vstack([f.centers for f in fs])
-    coeffs = np.concatenate([w * f.coeffs for w, f in zip(weights, fs)])
-    return RkhsFunction(kernel=kernel, centers=centers, coeffs=coeffs)
 
 
 # centers per drawn function; norm targets on [0.2, 1] avoid near-zero draws

@@ -90,10 +90,11 @@ def test_rerun_byte_identical(tmp_path):
 
 
 def test_threads_do_not_change_tables(tmp_path):
+    # perfbench passes --threads 1, the default; it changes no table
     a, b = tmp_path / "a", tmp_path / "b"
     assert run(["rates", *GAUSS_FLAGS, "--m-list", "2,4,6,8", "--out", str(a)]) == 0
     assert run(
-        ["rates", *GAUSS_FLAGS, "--m-list", "2,4,6,8", "--threads", "2", "--out", str(b)]
+        ["rates", *GAUSS_FLAGS, "--m-list", "2,4,6,8", "--threads", "1", "--out", str(b)]
     ) == 0
     assert read(a / "tables" / "rates.csv") == read(b / "tables" / "rates.csv")
 
@@ -497,12 +498,10 @@ def test_finite_report_has_no_non_finite_key(tmp_path):
 
 KERNEL_ALL = ["--kernel", "inverse_multiquadric", "--sigma", "0.5", "--beta", "2", "--r", "1.5", "--d", "2"]
 KERNEL_ALL_CFG = {"family": "inverse_multiquadric", "sigma": 0.5, "beta": 2.0, "r": 1.5, "dim": 2}
-COMMON_ALL = ["--out", "{tmp}/o", "--seed", "7", "--threads", "2", "--plots"]
-# the output directory is resolved first and left out of the echoed config
-COMMON_ALL_CFG = {"seed": 7, "threads": 2, "plots": True}
-# project, train, flm and meta run on one thread and accept only --threads 1
+# every command runs on one thread and accepts only --threads 1
 ONE_THREAD_ALL = ["--out", "{tmp}/o", "--seed", "7", "--threads", "1", "--plots"]
-ONE_THREAD_ALL_CFG = {**COMMON_ALL_CFG, "threads": 1}
+# the output directory is resolved first and left out of the echoed config
+ONE_THREAD_ALL_CFG = {"seed": 7, "threads": 1, "plots": True}
 TRAIN_ALL = ["--widths", "8,6", "--epochs", "3", "--batch-size", "5", "--lr", "0.01",
              "--lr-schedule", "constant", "--n-samples", "30"]
 TRAIN_ALL_CFG = {"widths": [8, 6], "epochs": 3, "batch_size": 5, "learning_rate": 0.01,
@@ -512,9 +511,9 @@ TRAIN_ALL_CFG = {"widths": [8, 6], "epochs": 3, "batch_size": 5, "learning_rate"
 # config file's path and "{tmp}" the test's temporary directory
 MERGE_CASES = [
     (
-        ["rates", *COMMON_ALL, *KERNEL_ALL, "--m-list", "2,4,,6,8", "--eval-resolution", "9"],
+        ["rates", *ONE_THREAD_ALL, *KERNEL_ALL, "--m-list", "2,4,,6,8", "--eval-resolution", "9"],
         None,
-        {**COMMON_ALL_CFG, "kernel": KERNEL_ALL_CFG, "m_list": [2, 4, 6, 8], "eval_resolution": 9},
+        {**ONE_THREAD_ALL_CFG, "kernel": KERNEL_ALL_CFG, "m_list": [2, 4, 6, 8], "eval_resolution": 9},
     ),
     (
         ["rates", "--config", "{cfg}", "--sigma", "3", "--m-list", "1,2,3,4,5"],
@@ -522,9 +521,9 @@ MERGE_CASES = [
         {"kernel": {"family": "gaussian", "sigma": 3.0, "dim": 1}, "m_list": [1, 2, 3, 4, 5], "seed": 3},
     ),
     (
-        ["eigen", *COMMON_ALL, *KERNEL_ALL, "--m-list", "1,2"],
+        ["eigen", *ONE_THREAD_ALL, *KERNEL_ALL, "--m-list", "1,2"],
         None,
-        {**COMMON_ALL_CFG, "kernel": KERNEL_ALL_CFG, "m_list": [1, 2], "d": 2},
+        {**ONE_THREAD_ALL_CFG, "kernel": KERNEL_ALL_CFG, "m_list": [1, 2], "d": 2},
     ),
     (
         ["eigen", "--config", "{cfg}"],
@@ -659,7 +658,9 @@ REJECTED_ARGVS = [
     ["meta", "--theorem", "sobolev", "--M", "1" + "0" * 400],
     ["meta", "--theorem", "sobolev", "--M", "64", "--r", "0.75", "--d", "2"],
     ["meta", "--theorem", "sobolev", "--M", "1" + "0" * 300],
-    # only rates and eigen run on threads; the other commands accept just 1
+    # every command runs on one thread and accepts just 1
+    ["rates", *GAUSS_FLAGS, "--m-list", "2,4,6,8", "--threads", "2"],
+    ["eigen", *GAUSS_FLAGS, "--m-list", "1,2", "--threads", "2"],
     ["project", *GAUSS_FLAGS, "--m", "3", "--threads", "2"],
     ["train", *GAUSS_FLAGS, "--m", "2", "--threads", "2"],
     ["flm", *GAUSS_FLAGS, "--m-list", "1,2", "--threads", "2"],
@@ -683,6 +684,14 @@ def test_rejected_flags_exit_2(argv, tmp_path, monkeypatch):
     # meta's handler is plain arithmetic and checks its constants itself, and
     # train's builds its functional before any sampling or training
     assert _echo_run(argv, tmp_path, monkeypatch, keep=("meta", "train")) == 2
+    assert not (tmp_path / "env").exists()
+
+
+@pytest.mark.parametrize("command", sorted(rfl.cli._HANDLERS))
+def test_threads_above_one_in_a_config_file_exit_2(command, tmp_path, monkeypatch):
+    (tmp_path / "cfg.json").write_text(json.dumps({"threads": 2}))
+    assert _echo_run([command, "--config", str(tmp_path / "cfg.json")], tmp_path, monkeypatch) == 2
+    assert not (tmp_path / "env").exists()
 
 
 @pytest.mark.parametrize("command", sorted(rfl.cli._HANDLERS))

@@ -5,8 +5,8 @@ here with mpmath number objects: the kernel profile and Gram as operator
 expressions, ``MPContext.cholesky`` for the node factor, ``eigsy`` at 150
 digits on the object-level Gram for grid eigenvalues, whose double must come
 back even where the 50-digit ``eigsy`` lost it, and ``cholesky_solve`` per
-point at 50 and at 150 digits for Schur values off the nodes.  Worker
-threads are checked to neither leak a working precision into the
+point at 50 and at 150 digits for Schur values off the nodes.  Threads a
+caller runs are checked to neither leak a working precision into the
 process-wide mpmath context nor pick one up from each other.
 """
 
@@ -26,6 +26,7 @@ from rfl import (
     UnsupportedConfigurationError,
     _exact,
     build_gram,
+    default_power_eval_set,
     power_values,
     rate_study_power,
     uniform_grid,
@@ -265,14 +266,16 @@ def test_threads_keep_global_precision_and_values():
     assert threaded_schur == [serial_schur] * 2
 
 
-def test_rate_study_power_threads_match_with_escalation():
-    # sigma=2 escalates the sups at m=6 and m=7 into extended precision,
-    # so both workers run _exact at the same time
+def test_rate_study_power_with_escalation_keeps_global_precision():
+    # sigma=2 escalates the sups at m=6 and m=7 into extended precision: they
+    # are the _exact Schur values, and the study leaves mpmath.mp as it was
     kernel = Kernel("gaussian", sigma=2.0, dim=1)
-    serial = rate_study_power(kernel, [2, 4, 6, 7], threads=1)
-    parallel = rate_study_power(kernel, [2, 4, 6, 7], threads=2)
-    assert parallel.table() == serial.table()
+    study = rate_study_power(kernel, [2, 4, 6, 7])
     assert mpmath.mp.dps == 15
+    for m, sup in zip(study.m_list[2:], study.sups[2:]):
+        grid = uniform_grid(m, 1)
+        exact = _exact.schur_values(kernel, grid.points, default_power_eval_set(grid).points)
+        assert sup == float(np.sqrt(exact.max()))
 
 
 def test_supports():

@@ -95,15 +95,6 @@ def test_generate_dataset_rejects_non_integral_and_bool_grid_sizes():
     assert generate_dataset(GAUSS, ENERGY, m=2.0, n_samples=5, seed=0).grid.grid_m == 2
 
 
-def test_dataset_csv():
-    ds = generate_dataset(GAUSS, ENERGY, m=1, n_samples=5, seed=0)
-    lines = ds.to_csv().strip().split("\n")
-    assert lines[0] == "x0,x1,y,split"
-    assert len(lines) == 6
-    assert lines[1].endswith("train")
-    assert lines[-1].endswith("heldout")
-
-
 def test_error_decomposition_triangle_and_fields():
     config = TrainConfig(epochs=5, widths=(8, 8), seed=0)
     ds = generate_dataset(GAUSS, ENERGY, m=2, n_samples=40, seed=config.seed)
@@ -166,13 +157,6 @@ def test_rate_study_power_gaussian():
     assert study.ratios[0] == pytest.approx(
         study.sups[1] / study.sups[0], rel=1e-12
     )
-
-
-def test_rate_study_power_threads_match():
-    serial = rate_study_power(GAUSS, [2, 4, 6, 8], threads=1)
-    parallel = rate_study_power(GAUSS, [2, 4, 6, 8], threads=2)
-    assert serial.sups == parallel.sups
-    assert serial.slope == parallel.slope
 
 
 def test_rate_study_power_validation():

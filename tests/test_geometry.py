@@ -1,4 +1,4 @@
-"""Lattice construction, fill distance, separation radius, and validation."""
+"""Lattice construction, fill distance, and validation."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from rfl import (
     ResourceLimitError,
     fill_distance,
     halton_points,
-    separation_radius,
     uniform_grid,
 )
 
@@ -86,27 +85,6 @@ def test_fill_distance_probe_route_matches_closed_form():
     ps = PointSet(dim=1, points=np.array([[0.0], [1.0]]))
     est = fill_distance(ps)
     assert 0.49 <= est <= 0.5
-
-
-def test_separation_radius():
-    assert separation_radius(uniform_grid(10, 1)) == pytest.approx(0.05, rel=1e-15)
-    assert separation_radius(uniform_grid(3, 2)) == pytest.approx(1.0 / 6.0, rel=1e-15)
-    ps = PointSet(dim=1, points=np.array([[0.0], [0.4], [1.0]]))
-    assert separation_radius(ps) == pytest.approx(0.2, rel=1e-13)
-    with pytest.raises(ArgumentError):
-        separation_radius(PointSet(dim=1, points=np.array([[0.5]])))
-
-
-def test_separation_matches_brute_force():
-    rng = np.random.default_rng(77)
-    for _ in range(5):
-        pts = rng.uniform(0, 1, (40, 2))
-        ps = PointSet(dim=2, points=pts)
-        d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1)
-        np.fill_diagonal(d2, np.inf)
-        assert separation_radius(ps) == pytest.approx(
-            0.5 * math.sqrt(d2.min()), rel=1e-12
-        )
 
 
 def test_pointset_validation():

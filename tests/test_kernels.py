@@ -24,6 +24,11 @@ from rfl import (
 RNG_SEED = 1234
 
 
+def kval(k: Kernel, u: np.ndarray, v: np.ndarray) -> float:
+    """K(u, v) for two points, read off the 1x1 block of ``pairwise``."""
+    return k.pairwise(u[None], v[None])[0, 0]
+
+
 def sample_kernels() -> list[Kernel]:
     return [
         Kernel("gaussian", sigma=0.5, dim=1),
@@ -38,40 +43,40 @@ def sample_kernels() -> list[Kernel]:
 def test_gaussian_eval_frozen():
     k = Kernel("gaussian", sigma=1.0, dim=1)
     # e^{-1/2}
-    assert k.eval(np.array([0.0]), np.array([1.0])) == pytest.approx(
+    assert kval(k, np.array([0.0]), np.array([1.0])) == pytest.approx(
         0.6065306597126334, rel=1e-14
     )
     k5 = Kernel("gaussian", sigma=0.5, dim=1)
     # e^{-2}
-    assert k5.eval(np.array([0.0]), np.array([1.0])) == pytest.approx(
+    assert kval(k5, np.array([0.0]), np.array([1.0])) == pytest.approx(
         0.1353352832366127, rel=1e-14
     )
-    assert k.eval(np.array([0.3]), np.array([0.3])) == 1.0
+    assert kval(k, np.array([0.3]), np.array([0.3])) == 1.0
 
 
 def test_multiquadric_eval_frozen():
     k = Kernel("inverse_multiquadric", sigma=1.0, beta=1.0, dim=1)
-    assert k.eval(np.array([0.0]), np.array([1.0])) == pytest.approx(0.5, rel=1e-15)
+    assert kval(k, np.array([0.0]), np.array([1.0])) == pytest.approx(0.5, rel=1e-15)
     k2 = Kernel("inverse_multiquadric", sigma=2.0, beta=1.5, dim=1)
     # (4 + 1)^{-1.5}
-    assert k2.eval(np.array([0.0]), np.array([1.0])) == pytest.approx(
+    assert kval(k2, np.array([0.0]), np.array([1.0])) == pytest.approx(
         0.08944271909999159, rel=1e-14
     )
 
 
 def test_sobolev_closed_forms_frozen():
     k1 = Kernel("sobolev", r=1.0, dim=1)
-    assert k1.eval(np.array([0.5]), np.array([0.5])) == pytest.approx(math.pi, rel=1e-14)
+    assert kval(k1, np.array([0.5]), np.array([0.5])) == pytest.approx(math.pi, rel=1e-14)
     # pi e^{-2 pi}
-    assert k1.eval(np.array([0.0]), np.array([1.0])) == pytest.approx(
+    assert kval(k1, np.array([0.0]), np.array([1.0])) == pytest.approx(
         0.005866744366933474, rel=1e-13
     )
     k2 = Kernel("sobolev", r=2.0, dim=1)
-    assert k2.eval(np.array([0.0]), np.array([0.0])) == pytest.approx(
+    assert kval(k2, np.array([0.0]), np.array([0.0])) == pytest.approx(
         math.pi / 2, rel=1e-14
     )
     # (pi/2)(1 + 2 pi) e^{-2 pi}
-    assert k2.eval(np.array([0.0]), np.array([1.0])) == pytest.approx(
+    assert kval(k2, np.array([0.0]), np.array([1.0])) == pytest.approx(
         0.02136429318711424, rel=1e-13
     )
 
@@ -88,15 +93,15 @@ def test_sobolev_generic_r_matches_bessel():
             * x ** (r - 0.5)
             * special.kv(r - 0.5, 2.0 * math.pi * x)
         )
-        got = k.eval(np.array([0.0]), np.array([x]))
+        got = kval(k, np.array([0.0]), np.array([x]))
         assert got == pytest.approx(float(oracle), abs=1e-8)
     zero = math.sqrt(math.pi) * special.gamma(r - 0.5) / special.gamma(r)
-    assert k.eval(np.array([0.0]), np.array([0.0])) == pytest.approx(zero, rel=1e-12)
+    assert kval(k, np.array([0.0]), np.array([0.0])) == pytest.approx(zero, rel=1e-12)
 
 
 def test_sobolev_generic_r_frozen_spot():
     k = Kernel("sobolev", r=1.7, dim=1)
-    assert k.eval(np.array([0.0]), np.array([0.3])) == pytest.approx(
+    assert kval(k, np.array([0.0]), np.array([0.3])) == pytest.approx(
         0.6500317763430706, abs=1e-8
     )
 
@@ -108,8 +113,8 @@ def test_eval_translation_invariance():
             u = rng.uniform(0, 1, k.dim)
             v = rng.uniform(0, 1, k.dim)
             shift = rng.uniform(-0.2, 0.2, k.dim)
-            a = k.eval(u, v)
-            b = k.eval(u + shift, v + shift)
+            a = kval(k, u, v)
+            b = kval(k, u + shift, v + shift)
             assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
 
 
@@ -123,14 +128,17 @@ def test_pairwise_symmetry_bit_exact():
 
 
 def test_pairwise_matches_eval():
+    # one pair's 1x1 block is its entry of the full matrix, and swapping the
+    # arrays transposes the matrix, both bit for bit
     rng = np.random.default_rng(RNG_SEED + 2)
     for k in sample_kernels():
         X = rng.uniform(0, 1, (5, k.dim))
         Y = rng.uniform(0, 1, (7, k.dim))
         G = k.pairwise(X, Y)
+        assert np.array_equal(G, k.pairwise(Y, X).T)
         for i in range(5):
             for j in range(7):
-                assert G[i, j] == k.eval(X[i], Y[j])
+                assert G[i, j] == kval(k, X[i], Y[j])
 
 
 def test_positive_semidefinite_witness():
@@ -182,62 +190,58 @@ def test_kernel_rejects_non_finite_parameters(family, field, value):
 def test_sobolev_eval_needs_dim_one():
     k = Kernel("sobolev", r=2.2, dim=2)
     with pytest.raises(UnsupportedConfigurationError):
-        k.eval(np.zeros(2), np.ones(2))
+        k.pairwise(np.zeros((1, 2)), np.ones((1, 2)))
 
 
 def test_fourier_transform_frozen():
+    # the spectral density read through gamma_m, at the origin (m=0) or at
+    # the corner xi = (m/2, ..., m/2)
     k = Kernel("gaussian", sigma=1.0, dim=1)
     # sqrt(2 pi) at the origin
-    assert k.fourier_transform(np.array([0.0])) == pytest.approx(
-        2.5066282746310002, rel=1e-14
-    )
-    # sqrt(2 pi) e^{-2 pi^2}
-    assert k.fourier_transform(np.array([1.0])) == pytest.approx(
-        6.7059525212074645e-09, rel=1e-12
-    )
+    assert k.gamma_m(0) == pytest.approx(2.5066282746310002, rel=1e-14)
+    # sqrt(2 pi) e^{-2 pi^2} at xi = 1
+    assert k.gamma_m(2) == pytest.approx(6.7059525212074645e-09, rel=1e-12)
     k5 = Kernel("gaussian", sigma=0.5, dim=2)
     # (2 sigma^2 pi)^{d/2} = pi/2
-    assert k5.fourier_transform(np.zeros(2)) == pytest.approx(math.pi / 2, rel=1e-14)
-    ks = Kernel("sobolev", r=2.0, dim=1)
-    # (1 + 3)^{-2}; xi chosen with |xi|^2 = 3
-    assert ks.fourier_transform(np.array([math.sqrt(3.0)])) == pytest.approx(
-        0.0625, rel=1e-12
-    )
+    assert k5.gamma_m(0) == pytest.approx(math.pi / 2, rel=1e-14)
+    ks = Kernel("sobolev", r=2.0, dim=3)
+    # (1 + 3)^{-2}; m=2 puts the d=3 corner at |xi|^2 = 3
+    assert ks.gamma_m(2) == pytest.approx(0.0625, rel=1e-12)
 
 
-def test_fourier_transform_errors():
-    k = Kernel("inverse_multiquadric", sigma=1.0, beta=1.0, dim=1)
-    with pytest.raises(UnsupportedConfigurationError):
-        k.fourier_transform(np.array([0.0]))
-    g = Kernel("gaussian", sigma=1.0, dim=2)
-    with pytest.raises(ArgumentError):
-        g.fourier_transform(np.array([0.0]))
+def _cos_transform(profile, xi: float) -> float:
+    """Fourier transform at xi of an even profile on the line, by quadrature."""
+    val, _ = integrate.quad(profile, 0, np.inf, weight="cos", wvar=2.0 * math.pi * xi)
+    return 2.0 * val
 
 
 def test_fourier_transform_matches_quadrature():
-    # dual route: phi-hat(xi) should equal the cosine-weighted integral of
-    # the profile (both sides even)
-    k = Kernel("gaussian", sigma=1.0, dim=1)
-    for xi in (0.25, 0.5, 1.0):
-        val, _ = integrate.quad(
-            lambda x: 2.0 * math.exp(-x * x / 2.0),
+    # dual route: gamma_m is the spectral density at the corner xi = (m/2, ..., m/2),
+    # which must equal the Fourier integral of the profile there.  The gaussian
+    # profile is a product over coordinates, so in d=2 its transform is the
+    # square of the line's; the d=2 sobolev r=3/2 profile is 2 pi e^{-2 pi rho}
+    # (the Matern form with K_{1/2}), transformed by a Hankel integral.
+    for m in (1, 2, 3):
+        line = _cos_transform(lambda x: math.exp(-2.0 * x * x), m / 2.0)
+        for d in (1, 2):
+            got = Kernel("gaussian", sigma=0.5, dim=d).gamma_m(m)
+            assert got == pytest.approx(line**d, rel=1e-9)
+        s1 = _cos_transform(lambda x: math.pi * math.exp(-2.0 * math.pi * x), m / 2.0)
+        assert Kernel("sobolev", r=1.0, dim=1).gamma_m(m) == pytest.approx(s1, rel=1e-9)
+        q = math.sqrt(2.0) * m / 2.0
+        s2, _ = integrate.quad(
+            lambda rho: 4.0 * math.pi**2 * math.exp(-2.0 * math.pi * rho)
+            * special.j0(2.0 * math.pi * q * rho) * rho,
             0,
             np.inf,
-            weight="cos",
-            wvar=2.0 * math.pi * xi,
+            limit=200,
         )
-        assert k.fourier_transform(np.array([xi])) == pytest.approx(val, abs=1e-6)
+        assert Kernel("sobolev", r=1.5, dim=2).gamma_m(m) == pytest.approx(s2, rel=1e-9)
     ks = Kernel("sobolev", r=1.0, dim=1)
-    # reverse direction: integrating the transform against cos recovers phi
+    # reverse direction: integrating the density against cos recovers phi
     for x in (0.3, 0.7):
-        val, _ = integrate.quad(
-            lambda t: 2.0 / (1.0 + t * t),
-            0,
-            np.inf,
-            weight="cos",
-            wvar=2.0 * math.pi * x,
-        )
-        assert ks.eval(np.array([0.0]), np.array([x])) == pytest.approx(val, abs=1e-6)
+        val = _cos_transform(lambda t: 1.0 / (1.0 + t * t), x)
+        assert kval(ks, np.array([0.0]), np.array([x])) == pytest.approx(val, abs=1e-6)
 
 
 def test_gamma_m_frozen():
@@ -289,7 +293,6 @@ def test_holder_data_sobolev_estimate():
     alpha, c = k.holder_data()
     assert alpha == 1.0
     assert c > 0.0
-    assert k.holder_is_estimate
     # deterministic: repeated calls agree exactly
     assert k.holder_data() == (alpha, c)
     k1 = Kernel("sobolev", r=1.0, dim=1)
@@ -310,7 +313,7 @@ def test_holder_inequality_witness():
             dvw = float(np.linalg.norm(v - w))
             if dvw <= 1e-14:
                 continue
-            lhs = abs(k.eval(u, v) - k.eval(u, w))
+            lhs = abs(kval(k, u, v) - kval(k, u, w))
             assert lhs <= c * dvw**alpha * slack
 
 

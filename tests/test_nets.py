@@ -15,7 +15,6 @@ from rfl import (
     TanhNetwork,
     TrainConfig,
     TrainReport,
-    forward,
     forward_batch,
     gradient,
     init,
@@ -93,10 +92,9 @@ def test_forward_frozen_composition():
         b2=np.zeros(1),
         a=np.array([1.0]),
     )
-    assert forward(net, np.array([0.5])) == pytest.approx(
-        0.4318081805950961, rel=1e-15
-    )
-    assert forward(net, np.array([0.0])) == 0.0
+    out = forward_batch(net, np.array([[0.5], [0.0]]))
+    assert out[0] == pytest.approx(0.4318081805950961, rel=1e-15)
+    assert out[1] == 0.0
 
 
 def test_forward_batch_matches_single():
@@ -105,7 +103,7 @@ def test_forward_batch_matches_single():
     X = rng.standard_normal((10, 4))
     batch = forward_batch(net, X)
     for i in range(10):
-        assert batch[i] == pytest.approx(forward(net, X[i]), rel=1e-14)
+        assert batch[i] == pytest.approx(forward_batch(net, X[i : i + 1])[0], rel=1e-14)
 
 
 def test_output_bounded_by_outer_weights():
@@ -119,7 +117,7 @@ def test_output_bounded_by_outer_weights():
 def test_forward_validation():
     net = init(3, (4, 4), seed=0)
     with pytest.raises(ArgumentError):
-        forward(net, np.array([1.0, 2.0]))
+        forward_batch(net, np.zeros((1, 2)))
     with pytest.raises(ArgumentError):
         forward_batch(net, np.zeros((2, 4)))
 

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import importlib
 import inspect
+import io
 import os
 import pkgutil
+import re
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import rfl
@@ -47,6 +50,41 @@ def test_public_names_are_exported():
             ):
                 unexported.append(f"{info.name}.{name}")
     assert unexported == []
+
+
+def _code_names(path: Path) -> set[str]:
+    """Names a Python file uses in code, leaving out strings, comments and definitions.
+
+    A definition is the name after ``def`` or ``class``, or a module-level
+    name assigned at the start of a line.
+    """
+    tokens = list(tokenize.generate_tokens(io.StringIO(path.read_text()).readline))
+    names = set()
+    for i, tok in enumerate(tokens):
+        if tok.type != tokenize.NAME or (i and tokens[i - 1].string in ("def", "class")):
+            continue
+        nxt = tokens[i + 1].string if i + 1 < len(tokens) else ""
+        if tok.start[1] == 0 and nxt in ("=", ":"):
+            continue
+        names.add(tok.string)
+    return names
+
+
+def test_every_export_has_a_caller():
+    # an exported name that only the tests use is dead public code: each one
+    # is used by the package's own code, a demo, the benchmark, or the README
+    repo = Path(__file__).resolve().parents[1]
+    package = repo / "src" / "rfl"
+    sources = [p for p in package.glob("*.py") if p.name != "__init__.py"]
+    sources += [*(repo / "demos").rglob("*.py"), *(repo / "perfbench").rglob("*.py")]
+    used = set().union(*map(_code_names, sources))
+    readme = (repo / "README.md").read_text()
+    uncalled = [
+        name
+        for name in rfl.__all__
+        if name not in used and not re.search(rf"\b{re.escape(name)}\b", readme)
+    ]
+    assert uncalled == []
 
 
 def test_import_loads_no_deferred_scipy_subpackage():

@@ -21,9 +21,6 @@ from rfl import (
     SingularGramError,
     build_gram,
     default_power_eval_set,
-    linear_combination,
-    nodal_eval,
-    power_function,
     power_function_sup,
     power_values,
     project,
@@ -113,8 +110,8 @@ def test_project_frozen_two_nodes():
     f = project(sys1, np.array([1.0, 0.0]))
     assert f.coeffs[0] == pytest.approx(1.5819767068693265, rel=1e-12)
     assert f.coeffs[1] == pytest.approx(-0.9595173756674719, rel=1e-12)
-    assert f(np.array([0.0])) == pytest.approx(1.0, abs=1e-12)
-    assert f(np.array([1.0])) == pytest.approx(0.0, abs=1e-12)
+    assert f.eval_at(np.array([0.0]))[0] == pytest.approx(1.0, abs=1e-12)
+    assert f.eval_at(np.array([1.0]))[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_project_validation():
@@ -124,16 +121,14 @@ def test_project_validation():
 
 
 def test_nodal_basis_delta_property():
+    # the i-th nodal basis function interpolates the i-th unit vector
     sys3 = build_gram(Kernel("sobolev", r=1.0, dim=1), uniform_grid(3, 1))
     nodes = sys3.points.points
     for i in range(4):
+        u_i = project(sys3, np.eye(4)[i])
         for j in range(4):
-            val = nodal_eval(sys3, i, nodes[j])
+            val = u_i.eval_at(nodes[j])[0]
             assert val == pytest.approx(1.0 if i == j else 0.0, abs=1e-8)
-    with pytest.raises(ArgumentError):
-        nodal_eval(sys3, 4, nodes[0])
-    with pytest.raises(ArgumentError):
-        nodal_eval(sys3, -1, nodes[0])
 
 
 def test_interpolation_and_orthogonality():
@@ -152,7 +147,9 @@ def test_interpolation_and_orthogonality():
                 ip = rkhs_inner(f, k_j) - rkhs_inner(pf, k_j)
                 assert abs(ip) <= 1e-8
             # Pythagoras: ||f||^2 = ||Pf||^2 + ||f - Pf||^2
-            res = linear_combination([f, pf], [1.0, -1.0])
+            res = RkhsFunction(
+                kernel, np.vstack([f.centers, pf.centers]), np.concatenate([f.coeffs, -pf.coeffs])
+            )
             lhs = rkhs_norm(f) ** 2
             rhs = rkhs_norm(pf) ** 2 + rkhs_norm(res) ** 2
             assert abs(lhs - rhs) <= 1e-6 * max(lhs, 1e-12)
@@ -162,10 +159,10 @@ def test_interpolation_and_orthogonality():
 def test_power_function_single_node_frozen():
     # one node at 0: P(x)^2 = 1 - K(x,0)^2, so P(1) = sqrt(1 - e^{-1})
     system = build_gram(GAUSS, PointSet(dim=1, points=np.array([[0.0]])))
-    assert power_function(system, np.array([1.0])) == pytest.approx(
+    assert power_values(system, np.array([[1.0]]))[0] == pytest.approx(
         0.7950600976206501, rel=1e-13
     )
-    assert power_function(system, np.array([0.0])) == pytest.approx(0.0, abs=1e-7)
+    assert power_values(system, np.array([[0.0]]))[0] == pytest.approx(0.0, abs=1e-7)
 
 
 def test_power_function_escalated_frozen():
@@ -174,7 +171,7 @@ def test_power_function_escalated_frozen():
     # recomputation (60 digits)
     system = build_gram(GAUSS, uniform_grid(8, 1))
     assert system.jitter_used == 0.0
-    assert power_function(system, np.array([1.0 / 16.0])) == pytest.approx(
+    assert power_values(system, np.array([[1.0 / 16.0]]))[0] == pytest.approx(
         4.494163747007547e-08, rel=1e-12
     )
     assert power_function_sup(system) == pytest.approx(
@@ -187,7 +184,7 @@ def test_power_values_batch_matches_pointwise():
     xs = np.array([[0.1], [0.33], [0.61], [0.95]])
     batch = power_values(system, xs)
     for i, x in enumerate(xs):
-        assert batch[i] == pytest.approx(power_function(system, x), rel=1e-12)
+        assert batch[i] == pytest.approx(power_values(system, x[None])[0], rel=1e-12)
     aspoints = power_values(system, PointSet(dim=1, points=xs))
     assert np.array_equal(batch, aspoints)
 
@@ -235,7 +232,7 @@ def test_norms_frozen():
 def test_inner_reproducing_property():
     f = RkhsFunction(GAUSS, np.array([[0.0], [1.0]]), np.array([1.0, 1.0]))
     k0 = RkhsFunction(GAUSS, np.array([[0.25]]), np.array([1.0]))
-    assert rkhs_inner(f, k0) == pytest.approx(f(np.array([0.25])), rel=1e-13)
+    assert rkhs_inner(f, k0) == pytest.approx(f.eval_at(np.array([0.25]))[0], rel=1e-13)
     other = RkhsFunction(Kernel("sobolev", r=2.0, dim=1), np.array([[0.5]]), np.array([1.0]))
     with pytest.raises(ArgumentError):
         rkhs_inner(f, other)
@@ -249,24 +246,7 @@ def test_rkhs_function_validation_and_shapes():
     # a flat center list in d=1 is promoted to a column
     f = RkhsFunction(GAUSS, np.array([0.2, 0.8]), np.array([1.0, 2.0]))
     assert f.centers.shape == (2, 1)
-    assert f(np.array([0.2])) == pytest.approx(
-        1.0 + 2.0 * GAUSS.eval(np.array([0.2]), np.array([0.8])), rel=1e-13
-    )
-
-
-def test_linear_combination():
-    f = sample_unit_ball(GAUSS, 5, 0.5, seed=3)
-    g = sample_unit_ball(GAUSS, 7, 0.9, seed=4)
-    h = linear_combination([f, g], [2.0, -1.0])
-    xs = np.linspace(0, 1, 11)[:, None]
-    assert np.allclose(h.eval_at(xs), 2.0 * f.eval_at(xs) - g.eval_at(xs), atol=1e-13)
-    with pytest.raises(ArgumentError):
-        linear_combination([], [])
-    with pytest.raises(ArgumentError):
-        linear_combination([f], [1.0, 2.0])
-    other = sample_unit_ball(Kernel("sobolev", r=2.0, dim=1), 5, 0.5, seed=3)
-    with pytest.raises(ArgumentError):
-        linear_combination([f, other], [1.0, 1.0])
+    assert f.eval_at(np.array([0.2]))[0] == pytest.approx(1.0 + 2.0 * math.exp(-0.18), rel=1e-13)
 
 
 def test_sample_unit_ball_norm_and_determinism():
@@ -311,7 +291,7 @@ def test_sample_unit_ball_degenerate_draws(monkeypatch):
 def test_sup_error():
     grid = uniform_grid(64, 1)
     f = sample_unit_ball(GAUSS, 8, 1.0, seed=9)
-    half = linear_combination([f], [0.5])
+    half = RkhsFunction(GAUSS, f.centers, 0.5 * f.coeffs)
     expected = 0.5 * float(np.abs(f.eval_at(grid.points)).max())
     assert sup_error(f, half, grid) == pytest.approx(expected, rel=1e-12)
     other = sample_unit_ball(Kernel("sobolev", r=2.0, dim=1), 8, 1.0, seed=9)
