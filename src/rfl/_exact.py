@@ -10,31 +10,41 @@ closed form here (see :func:`supports` and :func:`supports_grid`).
 attempt against its noise floor; :mod:`spectral` takes grid eigenvalues
 from here directly.
 
-The kernel profiles, the Gram entries, the Householder reduction, the
-Cholesky factor and the substitutions run as direct ``mpmath.libmp`` calls
-on raw mpf tuples.  Each call is given the precision and the rounding mode
-(round to nearest) that the mpf operator it stands for would take from its
-context, and the calls run in the order the operator expressions evaluate,
-so the results are bit-identical to the object-level expressions while
-skipping their wrapper, context lookup and allocation costs.  The precision
-is an argument of every helper.  The one departure in form is ``e ** y``:
+The kernel profiles, the Gram entries, the Cholesky factor and the
+substitutions run as direct ``mpmath.libmp`` calls on raw mpf tuples.
+Each call is given the precision and the rounding mode (round to nearest)
+that the mpf operator it stands for would take from its context, and the
+calls run in the order the operator expressions evaluate, so the results
+are bit-identical to the object-level expressions while skipping their
+wrapper, context lookup and allocation costs.  The precision is an
+argument of every helper.  The one departure in form is ``e ** y``:
 mpf_pow takes ``log e`` afresh for every exponent that is not a
 half-integer, and here it is taken once per call at the same precision,
 which gives the same bits.
 
-The grid eigensolve reduces the Gram matrix to tridiagonal form T with
-mpmath's own Householder reduction, the first half of ``eigsy`` (EISPACK
-tred2), replayed operation for operation; where ``eigsy`` mixes in Python
-ints (accumulators starting from 0, ``2 * x``, ``1 / x``), the replay
-makes the libmp call that the mpf operator makes for an int.  Only the
-smallest eigenvalue of T is wanted, so no QL sweep follows: Sturm counts,
-one O(n) pivot recurrence each (Barth, Martin & Wilkinson, *Numer. Math.*
-9, 1967; Kahan, *Accurate eigenvalues of a symmetric tri-diagonal matrix*,
-1966), bracket it, and Newton's method on det(T - mu I) from below closes
-the bracket.  The value is returned only if the bracket, widened by a bound
-on the rounding of the Gram entries and of the reduction, rounds to one
-double; otherwise the whole solve reruns at the precision the bracket shows
-it needs, up to a cap.
+The grid eigensolve reduces the Gram matrix to tridiagonal form T by
+Householder similarity transforms.  Only the smallest eigenvalue of T is
+wanted, so no QL sweep follows: Sturm counts, one O(n) pivot recurrence
+each (Barth, Martin & Wilkinson, *Numer. Math.* 9, 1967; Kahan, *Accurate
+eigenvalues of a symmetric tri-diagonal matrix*, 1966), bracket it, and
+Newton's method on det(T - mu I) from below closes the bracket.  The value
+is returned only if the bracket, widened by delta = ``_DELTA_ULPS`` n u |T|
+with u = 2^-prec, rounds to one double; otherwise the whole solve reruns
+at the precision the bracket shows it needs, up to a cap.
+
+delta covers the rounding of the Gram and of its reduction.  Each Gram
+entry is a few rounded operations on exact coordinates, and the profiles
+are positive, so the Gram is off by a few u |K|.  Each dot product and
+rank-2 update of the reduction is a sum of exact products rounded once,
+so its error is u times its terms' magnitudes with no factor of its
+length (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
+2002, sec. 3.1).  Each of the n - 2 transforms then adds a constant times
+u |K| of backward error, so T is the exact reduction of a matrix within
+order n u |K| of the Gram (Wilkinson, *The Algebraic Eigenvalue Problem*,
+1965, ch. 3 and 5; Higham ch. 19), and by Weyl's inequality lambda_min
+moves no further.  The constant is measured: over the seven kernels of
+the tests at m in {4, 8, 12, 16, 24, 32}, |lambda_min(T) - lambda_150| is
+at most 0.23 n u |T| at 169 bits and 0.21 at 338 bits.
 
 libmp functions read no context state, so nothing here reads or writes the
 process-wide ``mpmath.mp`` precision and concurrent callers cannot change
@@ -57,14 +67,11 @@ import numpy as np
 from mpmath.libmp import (
     MPZ_ONE,
     dps_to_prec,
-    finf,
-    fninf,
     fnone,
     fone,
     from_float,
     from_int,
     fzero,
-    mpf_abs,
     mpf_add,
     mpf_div,
     mpf_e,
@@ -99,7 +106,7 @@ _RND = "n"
 _STEPS_PER_BIT = 2
 # bound on the rounding of the grid Gram and its tridiagonal reduction, in
 # units of 2^-prec |T| per row of the matrix (the supported kernels at
-# m <= 32 and 169 or 338 bits stay below 2)
+# m <= 32 and 169 or 338 bits stay below 0.25; tests/test_exact.py holds 2)
 _DELTA_ULPS = 64
 # bits kept past a double's 53 when a grid eigensolve reruns
 _MARGIN_BITS = 32
@@ -122,20 +129,16 @@ def supports_grid(kernel: Kernel, d: int) -> bool:
     return kernel.family == GAUSSIAN or (d == 1 and supports(kernel))
 
 
-def _sum(terms, prec: int):
-    """Python's ``sum`` of mpf values: ``0 + t`` first, then one rounded add per term."""
-    terms = iter(terms)
-    acc = mpf_add(next(terms), fzero, prec, _RND)
-    for t in terms:
-        acc = mpf_add(acc, t, prec, _RND)
-    return acc
-
-
 def _sq_dist(a, b, prec: int):
-    """``sum((s - t) ** 2 for s, t in zip(a, b))`` on raw coordinates."""
-    return _sum(
-        (mpf_pow_int(mpf_sub(s, t, prec, _RND), 2, prec, _RND) for s, t in zip(a, b)), prec
-    )
+    """``sum((s - t) ** 2 for s, t in zip(a, b))`` on raw coordinates.
+
+    One rounded add per term, in ``sum``'s order: the Schur values keep the
+    bits of the object-level expression.
+    """
+    acc = fzero
+    for s, t in zip(a, b):
+        acc = mpf_add(acc, mpf_pow_int(mpf_sub(s, t, prec, _RND), 2, prec, _RND), prec, _RND)
+    return acc
 
 
 def _profile(kernel: Kernel, prec: int):
@@ -201,46 +204,39 @@ def _gram(profile, coords, prec: int) -> list:
 def _tridiagonalize(A: list, prec: int) -> tuple[list, list]:
     """Householder reduction of the raw symmetric rows ``A`` to tridiagonal form.
 
-    Replays mpmath's ``r_sy_tridiag(calc_ev=False)`` (EISPACK tred2) on its
-    upper triangle, overwriting ``A``; returns the diagonal and the
-    off-diagonal (last entry zero).  The accumulators ``scale``, ``H``,
-    ``G`` and ``F`` start from int 0 there, hence :func:`_sum`.
+    EISPACK tred2's order on the upper triangle, overwriting ``A``; returns
+    the diagonal and the off-diagonal (last entry zero).  Each dot product
+    and rank-2 update is a sum of exact products rounded once.  tred2's
+    column scaling is left out: an mpf's exponent cannot overflow.
     """
     n = len(A)
     E = [fzero] * n
     for i in range(n - 1, 1, -1):
-        scale = _sum((mpf_abs(A[k][i], prec, _RND) for k in range(i)), prec)
-        # a nonzero scale can still have an infinite reciprocal
-        if scale == fzero or (scale_inv := mpf_rdiv_int(1, scale, prec, _RND)) in (finf, fninf):
+        H = mpf_sum([mpf_mul(A[k][i], A[k][i]) for k in range(i)], prec, _RND)
+        if H == fzero:
             E[i] = A[i - 1][i]
             continue
-        for k in range(i):
-            A[k][i] = mpf_mul(A[k][i], scale_inv, prec, _RND)
-        H = _sum((mpf_mul(A[k][i], A[k][i], prec, _RND) for k in range(i)), prec)
         F = A[i - 1][i]
         G = mpf_sqrt(H, prec, _RND)
         if mpf_gt(F, fzero):
-            G = mpf_neg(G, prec, _RND)
-        E[i] = mpf_mul(scale, G, prec, _RND)
-        H = mpf_sub(H, mpf_mul(F, G, prec, _RND), prec, _RND)
+            G = mpf_neg(G)
+        E[i] = G
+        H = mpf_sub(H, mpf_mul(F, G), prec, _RND)
         A[i - 1][i] = mpf_sub(F, G, prec, _RND)
-        products = []
         for j in range(i):
-            # (A U)_j over the upper triangle: column j, then row j
-            terms = [mpf_mul(A[k][j], A[k][i], prec, _RND) for k in range(j + 1)]
-            terms += [mpf_mul(A[j][k], A[k][i], prec, _RND) for k in range(j + 1, i)]
-            E[j] = mpf_div(_sum(terms, prec), H, prec, _RND)
-            products.append(mpf_mul(E[j], A[j][i], prec, _RND))
-        F = _sum(products, prec)
-        HH = mpf_div(F, mpf_mul_int(H, 2, prec, _RND), prec, _RND)
+            # (A u)_j over the upper triangle: column j, then row j
+            terms = [mpf_mul(A[k][j], A[k][i]) for k in range(j + 1)]
+            terms += [mpf_mul(A[j][k], A[k][i]) for k in range(j + 1, i)]
+            E[j] = mpf_div(mpf_sum(terms, prec, _RND), H, prec, _RND)
+        F = mpf_sum([mpf_mul(E[j], A[j][i]) for j in range(i)], prec, _RND)
+        HH = mpf_div(F, mpf_shift(H, 1), prec, _RND)
         for j in range(i):
             F = A[j][i]
-            G = E[j] = mpf_sub(E[j], mpf_mul(HH, F, prec, _RND), prec, _RND)
+            G = E[j] = mpf_sub(E[j], mpf_mul(HH, F), prec, _RND)
+            # mpf_sum only adds: negate the factors, exactly, once per column
+            F, G = mpf_neg(F), mpf_neg(G)
             for k in range(j + 1):
-                update = mpf_add(
-                    mpf_mul(F, E[k], prec, _RND), mpf_mul(G, A[k][i], prec, _RND), prec, _RND
-                )
-                A[k][j] = mpf_sub(A[k][j], update, prec, _RND)
+                A[k][j] = mpf_sum([A[k][j], mpf_mul(F, E[k]), mpf_mul(G, A[k][i])], prec, _RND)
     if n > 1:
         # tred2's last step, i == 1, only copies the remaining off-diagonal entry
         E[1] = A[0][1]
@@ -350,11 +346,12 @@ def grid_lambda_min(kernel: Kernel, m: int, d: int) -> float:
     The 1-D Gram is reduced to tridiagonal form and its smallest eigenvalue
     bracketed by Sturm counts (see :func:`_certified_power`).  The bracket,
     widened by delta = ``_DELTA_ULPS`` * (m+1) * 2^-prec * |T| for the
-    rounding of the Gram entries and of the Householder reduction, must
-    round to one double after the d-th power.  Otherwise the solve reruns
-    with log2(delta / lambda) + 53 + ``_MARGIN_BITS`` more bits, or at twice
-    the precision while the value is not positive.  A value that needs more than ``_MAX_PREC`` bits, a solve
-    that does not converge, or a power below the double range raises
+    rounding of the Gram entries and of the Householder reduction (see the
+    module docstring), must round to one double after the d-th power.
+    Otherwise the solve reruns with log2(delta / lambda) + 53 +
+    ``_MARGIN_BITS`` more bits, or at twice the precision while the value
+    is not positive.  A value that needs more than ``_MAX_PREC`` bits, a
+    solve that does not converge, or a power below the double range raises
     :class:`SingularGramError`.
     """
     if not supports_grid(kernel, d):

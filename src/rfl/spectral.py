@@ -26,8 +26,9 @@ from .rkhs import GramSystem, build_gram
 _EPS = float(np.finfo(float).eps)
 
 # largest grid m sent to the extended route; its raw-libmp Householder
-# reduction grows like m^3 (sobolev r=1, d=1: 0.08 s at m=32, 0.5 s at m=64;
-# gaussian sigma=1, which reruns at 676 bits: 0.15 s and 2.2 s; 2-core Xeon)
+# reduction grows like m^3 (sobolev r=1, d=1, one solve at 169 bits: 0.05 s
+# at m=32, 0.38 s at m=64; gaussian sigma=1, which reruns up to 338 and 676
+# bits: 0.09 s and 0.91 s; best of 3 on a 2-core Xeon)
 EXTENDED_MAX_M = 64
 
 

@@ -1,24 +1,28 @@
 """Extended-precision fallbacks: bit identity and isolation from mpmath.mp.
 
-The raw-arithmetic paths are compared bit for bit against an oracle written
-here with mpmath number objects: the kernel profile and Gram as operator
-expressions, ``MPContext.cholesky`` for the node factor, ``eigsy`` at 150
-digits on the object-level Gram for grid eigenvalues, whose double must come
-back even where the 50-digit ``eigsy`` lost it, and ``cholesky_solve`` per
-point at 50 and at 150 digits for Schur values off the nodes.  Threads a
-caller runs are checked to neither leak a working precision into the
-process-wide mpmath context nor pick one up from each other.
+The raw-arithmetic Schur path is compared bit for bit against an oracle
+written here with mpmath number objects: the kernel profile and Gram as
+operator expressions, ``MPContext.cholesky`` for the node factor, and
+``cholesky_solve`` per point at 50 and at 150 digits for Schur values off
+the nodes.  Grid eigenvalues must be the double of ``eigsy``'s minimum at
+150 digits on the object-level Gram, even where the 50-digit ``eigsy`` lost
+it, and exact rational Sturm counts check that the tridiagonal form keeps
+lambda_min within the rounding bound the solve widens its bracket by.
+Threads a caller runs are checked to neither leak a working precision into
+the process-wide mpmath context nor pick one up from each other.
 """
 
 from __future__ import annotations
 
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
+from functools import cache
 
 import mpmath
 import numpy as np
 import pytest
-from mpmath.libmp import dps_to_prec, from_float
+from mpmath.libmp import dps_to_prec, from_float, from_int, mpf_div, to_rational
 
 from rfl import (
     Kernel,
@@ -83,6 +87,7 @@ def _reference_schur(kernel, nodes, xs, dps=50):
     return np.array(out)
 
 
+@cache
 def _reference_grid_lambda_min(kernel, m, dps=150):
     """Smallest eigenvalue, an mpf, of the object-level 1-D grid Gram by ``eigsy``."""
     ctx = _reference_context(dps)
@@ -177,6 +182,35 @@ def _check_grid_lambda_min(kernel, m):
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 8, 12, 16, 32])
 def test_grid_lambda_min_bit_identical_to_object_level_eigsy(kernel, m):
     _check_grid_lambda_min(kernel, m)
+
+
+def _eigenvalues_below(diag, off, mu):
+    """Sturm count of the tridiagonal (``diag``, ``off``) at ``mu``, in exact rationals."""
+    count, q = 0, Fraction(1)
+    for d, e in zip(diag, [0, *off]):
+        q = d - mu - e * e / q
+        count += q < 0
+    return count
+
+
+@pytest.mark.parametrize("kernel", GRID_KERNELS)
+@pytest.mark.parametrize("m", [8, 16, 32])
+def test_tridiagonal_form_keeps_lambda_min_within_delta(kernel, m):
+    # grid_lambda_min widens its bracket by _DELTA_ULPS n u |T| (u = 2^-prec)
+    # for the rounding of the Gram and its reduction; lambda_min(T) must sit
+    # well inside that, here within 2 n u |T| of the 150-digit eigenvalue
+    want = Fraction(*to_rational(_reference_grid_lambda_min(kernel, m)._mpf_))
+    n = m + 1
+    for prec in (dps_to_prec(50), 2 * dps_to_prec(50)):
+        coords = [(mpf_div(from_int(i), from_int(m), prec, "n"),) for i in range(n)]
+        gram = _exact._gram(_exact._profile(kernel, prec), coords, prec)
+        diag, off = (
+            [Fraction(*to_rational(v)) for v in part] for part in _exact._tridiagonalize(gram, prec)
+        )
+        norm = max(abs(a) + abs(b) + abs(c) for a, b, c in zip(diag, [0, *off], off))
+        bound = Fraction(2 * n, 2**prec) * norm
+        assert _eigenvalues_below(diag, off, want - bound) == 0
+        assert _eigenvalues_below(diag, off, want + bound) >= 1
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 import inspect
 import io
@@ -85,6 +86,26 @@ def test_every_export_has_a_caller():
         if name not in used and not re.search(rf"\b{re.escape(name)}\b", readme)
     ]
     assert uncalled == []
+
+
+def test_every_import_is_used():
+    # an import that its module never reads is dead code; __init__ re-exports
+    # through __all__, so the names listed there count as read
+    unused = []
+    for path in sorted(Path(rfl.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if path.name == "__init__.py":
+            read |= set(rfl.__all__)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            ):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        unused.append(f"{path.name}:{node.lineno} {name}")
+    assert unused == []
 
 
 def test_import_loads_no_deferred_scipy_subpackage():
