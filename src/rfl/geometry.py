@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ArgumentError, ResourceLimitError
+from .kernels import _BLOCK_ENTRIES, _sq_dists
 
 DEFAULT_MAX_POINTS = 4096
 _PROBE_COUNT = 2048
@@ -94,22 +95,15 @@ def halton_points(n: int, d: int) -> PointSet:
     return PointSet(dim=int(d), points=pts, _validated=True)
 
 
-def _sq_dist_blocks(A: np.ndarray, B: np.ndarray):
-    """Yield (i0, D), D the squared distances from rows i0, i0+1, ... of A to B.
-
-    Blocks of about 4M distances bound memory; the difference is squared in
-    place, since the caller still holds the previous block.
-    """
-    step = max(1, (1 << 22) // max(1, B.shape[0]))
-    for i0 in range(0, A.shape[0], step):
-        diff = A[i0 : i0 + step, None, :] - B[None, :, :]
-        yield i0, np.multiply(diff, diff, out=diff).sum(axis=-1)
-
-
 def _min_dists_to(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """For each query point, the distance to the nearest set point."""
+    """For each query point, the distance to the nearest set point.
+
+    Queries go in blocks of about 4M distances, which bounds memory.
+    """
     out = np.empty(queries.shape[0])
-    for i0, d2 in _sq_dist_blocks(queries, points):
+    step = max(1, _BLOCK_ENTRIES // points.shape[0])
+    for i0 in range(0, queries.shape[0], step):
+        d2 = _sq_dists(queries[i0 : i0 + step], points)
         out[i0 : i0 + d2.shape[0]] = np.sqrt(d2.min(axis=1))
     return out
 

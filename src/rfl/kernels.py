@@ -7,6 +7,14 @@ family is realized in closed form for r in {1, 2} on the line; other orders
 fall back to adaptive quadrature of the inverse Fourier integral with a
 cached tabulation.
 
+Every kernel value comes from :meth:`Kernel.pairwise`.  It writes the
+squared distances straight into the result matrix, adding one coordinate
+at a time, and then applies the radial profile to that matrix in place.
+Besides the result, a call in dimensions 2 to 7 holds one temporary of
+at most about 4M entries while it sums the coordinates (dimension 8 and
+up: see _sq_dists), and the sobolev r = 2 and tabulated profiles one more
+array of the result's size.
+
 All values are plain float64.  Two internal escalation paths elsewhere in the
 package (see _exact) recompute selected quantities in extended precision when
 double precision cannot represent them; the kernel descriptors here stay
@@ -22,7 +30,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ArgumentError, UnsupportedConfigurationError
-from .geometry import _sq_dist_blocks
 
 GAUSSIAN = "gaussian"
 INVERSE_MULTIQUADRIC = "inverse_multiquadric"
@@ -30,6 +37,7 @@ SOBOLEV = "sobolev"
 
 FAMILIES = (GAUSSIAN, INVERSE_MULTIQUADRIC, SOBOLEV)
 
+_BLOCK_ENTRIES = 1 << 22
 _HOLDER_TRIPLES = 100_000
 _HOLDER_SEED = 20040
 
@@ -67,7 +75,9 @@ class Kernel:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ArgumentError(f"unknown kernel family {self.family!r}")
-        if not (isinstance(self.dim, (int, np.integer)) and self.dim >= 1):
+        if isinstance(self.dim, bool) or not (
+            isinstance(self.dim, (int, np.integer)) and self.dim >= 1
+        ):
             raise ArgumentError(f"dim must be a positive integer, got {self.dim!r}")
         for name in ("sigma", "beta", "r"):
             if not math.isfinite(getattr(self, name)):
@@ -108,22 +118,41 @@ class Kernel:
             raise UnsupportedConfigurationError(
                 "sobolev kernel evaluation is only available for dim=1"
             )
-        s2 = _sq_dists(X, Y)
-        return self._profile(s2)
+        return self._profile(_sq_dists(X, Y))
 
     def _profile(self, s2: np.ndarray) -> np.ndarray:
-        """Radial profile phi(|u-v|) applied to squared distances."""
+        """Radial profile phi(|u-v|) applied to squared distances.
+
+        Overwrites ``s2`` (a float64 array the caller no longer needs) and
+        returns it, except for the tabulated sobolev orders, whose spline
+        returns a new array.  Each step is the operation of the textbook
+        formula, so the values do not depend on working in place: -a/b
+        equals a/(-b) exactly, and ``**=`` takes the scalar-power path of
+        ``**``.
+        """
         if self.family == GAUSSIAN:
-            return np.exp(-s2 / (2.0 * self.sigma**2))
+            np.divide(s2, -(2.0 * self.sigma**2), out=s2)
+            return np.exp(s2, out=s2)
         if self.family == INVERSE_MULTIQUADRIC:
-            return (self.sigma**2 + s2) ** (-self.beta)
-        x = np.sqrt(s2)
+            s2 += self.sigma**2
+            s2 **= -self.beta
+            return s2
+        x = np.sqrt(s2, out=s2)
         if self.r == 1:
-            return math.pi * np.exp(-2.0 * math.pi * x)
+            x *= -2.0 * math.pi
+            np.exp(x, out=x)
+            x *= math.pi
+            return x
         if self.r == 2:
-            return (math.pi / 2.0) * (1.0 + 2.0 * math.pi * x) * np.exp(-2.0 * math.pi * x)
+            x *= 2.0 * math.pi
+            decay = np.negative(x)
+            np.exp(decay, out=decay)
+            x += 1.0
+            x *= math.pi / 2.0
+            x *= decay
+            return x
         spline = _sobolev_profile_table(float(self.r))
-        return np.asarray(spline(np.clip(x, 0.0, 1.0)))
+        return np.asarray(spline(np.clip(x, 0.0, 1.0, out=x)))
 
     def diagonal(self) -> float:
         """The constant K(u, u), i.e. the radial profile at distance zero."""
@@ -198,16 +227,38 @@ class Kernel:
         if extra:
             raise ArgumentError(f"unknown kernel config keys: {sorted(extra)}")
         kw = dict(obj)
-        if "dim" in kw:
-            kw["dim"] = int(kw["dim"])
+        if isinstance(kw.get("dim"), float) and kw["dim"].is_integer():
+            kw["dim"] = int(kw["dim"])  # a config file may spell 2 as 2.0
         return Kernel(**kw)
 
 
 def _sq_dists(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Pairwise squared Euclidean distances, blockwise to bound memory."""
-    out = np.empty((X.shape[0], Y.shape[0]))
-    for i0, d2 in _sq_dist_blocks(X, Y):
-        out[i0 : i0 + d2.shape[0]] = d2
+    """Pairwise squared Euclidean distances, one coordinate at a time.
+
+    Row i, column j holds (X[i,0]-Y[j,0])^2 + (X[i,1]-Y[j,1])^2 + ...,
+    added in coordinate order straight into the result.  That order is
+    numpy's ``sum(axis=-1)`` over the difference tensor bit for bit while
+    dim <= 7; from dim 8 numpy sums pairwise, so those dimensions keep the
+    (rows, p, dim) difference block and its ``sum``.  Rows go in blocks of
+    about 4M entries, which bounds the one temporary a block needs.
+    """
+    n, d = X.shape
+    p = Y.shape[0]
+    out = np.empty((n, p))
+    step = max(1, _BLOCK_ENTRIES // max(1, p))
+    sq = np.empty((min(step, n), p)) if 2 <= d < 8 else None
+    for i0 in range(0, n, step):
+        x, rows = X[i0 : i0 + step], out[i0 : i0 + step]
+        if d >= 8:
+            diff = x[:, None, :] - Y[None, :, :]
+            np.multiply(diff, diff, out=diff).sum(axis=-1, out=rows)
+            continue
+        np.subtract(x[:, 0, None], Y[:, 0], out=rows)
+        np.multiply(rows, rows, out=rows)
+        for k in range(1, d):
+            t = sq[: rows.shape[0]]
+            np.subtract(x[:, k, None], Y[:, k], out=t)
+            rows += np.multiply(t, t, out=t)
     return out
 
 

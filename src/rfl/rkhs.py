@@ -96,7 +96,6 @@ class RkhsFunction:
 
     def eval_at(self, X) -> np.ndarray:
         """Values at an (n, dim) array of points (or a single point)."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
         return self.kernel.pairwise(X, self.centers) @ self.coeffs
 
     def to_json(self) -> dict:

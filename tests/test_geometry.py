@@ -87,6 +87,11 @@ def test_fill_distance_probe_route_matches_closed_form():
     assert 0.49 <= est <= 0.5
 
 
+def test_fill_distance_probe_route_value_frozen():
+    # the nearest-node distances of the 2048 Halton probes, to the bit
+    assert fill_distance(halton_points(300, 2)) == 0.06850520981060412
+
+
 def test_pointset_validation():
     with pytest.raises(ArgumentError):
         PointSet(dim=1, points=np.empty((0, 1)))

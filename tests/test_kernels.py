@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
+import rfl.kernels
 from rfl import (
     ArgumentError,
     FAMILIES,
@@ -37,6 +38,7 @@ def sample_kernels() -> list[Kernel]:
         Kernel("inverse_multiquadric", sigma=2.0, beta=1.5, dim=3),
         Kernel("sobolev", r=1.0, dim=1),
         Kernel("sobolev", r=2.0, dim=1),
+        Kernel("sobolev", r=1.25, dim=1),
     ]
 
 
@@ -139,6 +141,59 @@ def test_pairwise_matches_eval():
         for i in range(5):
             for j in range(7):
                 assert G[i, j] == kval(k, X[i], Y[j])
+
+
+def _textbook_pairwise(k: Kernel, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """The kernel matrix by the plain formula: the full difference tensor
+    reduced with ``sum(axis=-1)``, then the profile out of place."""
+    diff = X[:, None, :] - Y[None, :, :]
+    s2 = (diff * diff).sum(axis=-1)
+    if k.family == "gaussian":
+        return np.exp(-s2 / (2.0 * k.sigma**2))
+    if k.family == "inverse_multiquadric":
+        return (k.sigma**2 + s2) ** (-k.beta)
+    x = np.sqrt(s2)
+    if k.r == 1:
+        return math.pi * np.exp(-2.0 * math.pi * x)
+    if k.r == 2:
+        return (math.pi / 2.0) * (1.0 + 2.0 * math.pi * x) * np.exp(-2.0 * math.pi * x)
+    return np.asarray(rfl.kernels._sobolev_profile_table(float(k.r))(np.clip(x, 0.0, 1.0)))
+
+
+_BYTE_PIN_KERNELS = [
+    *(Kernel("gaussian", sigma=s, dim=d) for s in (0.25, 1.0, 500.0) for d in (1, 2, 3, 7, 8)),
+    *(
+        Kernel("inverse_multiquadric", sigma=s, beta=b, dim=d)
+        for s, b in ((0.5, 0.5), (1.0, 1.0), (1.0, 1.5), (2.0, 2.0))
+        for d in (1, 2, 3, 7, 8)
+    ),
+    Kernel("sobolev", r=1.0, dim=1),
+    Kernel("sobolev", r=2.0, dim=1),
+    Kernel("sobolev", r=1.25, dim=1),
+]
+
+
+@pytest.mark.parametrize("block", [None, 100], ids=["one-block", "100-entry-blocks"])
+@pytest.mark.parametrize("k", _BYTE_PIN_KERNELS, ids=repr)
+def test_pairwise_bytes_equal_the_textbook_formula(k, block, monkeypatch):
+    # the coordinate-at-a-time sum must be numpy's sum(axis=-1) bit for bit on
+    # both sides of the dim 8 switch, also when rows go in several blocks
+    if block is not None:
+        monkeypatch.setattr(rfl.kernels, "_BLOCK_ENTRIES", block)
+    rng = np.random.default_rng(RNG_SEED + 5)
+    coincident = rng.uniform(0, 1, (6, k.dim))[[0, 1, 1, 2, 0, 3, 4, 4, 5]]
+    shapes = [
+        (rng.uniform(0, 1, (1, k.dim)), rng.uniform(0, 1, (1, k.dim))),
+        (rng.uniform(0, 1, (2048, k.dim)), rng.uniform(0, 1, (10, k.dim))),
+        (rng.uniform(0, 1, (9, k.dim)), rng.uniform(0, 1, (2048, k.dim))),
+        (coincident, coincident),
+        (np.empty((0, k.dim)), rng.uniform(0, 1, (5, k.dim))),
+    ]
+    for X, Y in shapes:
+        got = k.pairwise(X, Y)
+        want = _textbook_pairwise(k, X, Y)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_positive_semidefinite_witness():
@@ -344,6 +399,21 @@ def test_m_d_constant_errors():
     # the formula outgrows its own envelope from d=5 on
     with pytest.raises(UnsupportedConfigurationError):
         m_d_constant(5)
+
+
+@pytest.mark.parametrize("dim", [1.5, True, False, "2", None, math.inf])
+def test_from_json_rejects_a_dim_that_is_not_integral(dim):
+    # a truncating cast used to load 1.5 and True as dim 1
+    with pytest.raises(ArgumentError):
+        Kernel.from_json({"family": "gaussian", "dim": dim})
+    with pytest.raises(ArgumentError):
+        Kernel("gaussian", dim=dim)
+
+
+def test_from_json_accepts_an_integral_float_dim():
+    k = Kernel.from_json({"family": "gaussian", "dim": 2.0})
+    assert k.dim == 2 and type(k.dim) is int
+    assert Kernel.from_json({"family": "gaussian", "dim": np.int64(3)}).dim == 3
 
 
 def test_json_roundtrip():
