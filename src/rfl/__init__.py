@@ -64,7 +64,6 @@ from .rkhs import (
     rkhs_inner,
     rkhs_norm,
     sample_unit_ball,
-    sup_error,
 )
 from .spectral import (
     SpectralReport,
@@ -148,7 +147,6 @@ __all__ = [
     "rkhs_norm",
     "sample_unit_ball",
     "smallest_eigenvalue",
-    "sup_error",
     "theorem_metadata",
     "theoretical_widths",
     "train",

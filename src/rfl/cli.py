@@ -53,12 +53,11 @@ from .kernels import FAMILIES, Kernel
 from .nets import TrainConfig, init, train
 from .rkhs import (
     DEFAULT_SAMPLE_CENTERS,
+    _projected_at,
     build_gram,
     default_power_eval_set,
     power_function_sup,
-    project,
     rkhs_norm,
-    sup_error,
 )
 
 _POS_INT = {"type": "integer", "minimum": 1}
@@ -400,9 +399,11 @@ def _cmd_project(cfg: dict):
     label = kernel_label(kernel)
     rows = []
     max_ratio = 0.0
-    for i, f in enumerate(_unit_ball_draws(kernel, n_samples, seed, n_centers)):
-        pf = project(system, f.eval_at(grid.points))
-        err = sup_error(f, pf, eval_set)
+    draws = list(_unit_ball_draws(kernel, n_samples, seed, n_centers))
+    node_values = np.array([f.eval_at(grid.points) for f in draws])
+    projected = _projected_at(system, node_values, eval_set.points)
+    for i, (f, pf) in enumerate(zip(draws, projected)):
+        err = float(np.abs(f.eval_at(eval_set.points) - pf).max())
         norm = rkhs_norm(f)
         bound = norm * psup
         ratio = err / bound if bound > 0 else 0.0

@@ -11,6 +11,8 @@ exit code 2, and the numerical family (:class:`SingularGramError`,
 
 from __future__ import annotations
 
+from numbers import Integral
+
 
 class RflError(Exception):
     """Base class for all errors raised by this package."""
@@ -38,3 +40,9 @@ class ResourceLimitError(RflError):
 
 class ConfigError(RflError):
     """A configuration file or override set failed validation."""
+
+
+def _check_positive_int(value, name: str) -> None:
+    """Raise :class:`ArgumentError` unless ``value`` is an integer >= 1; a bool is not one."""
+    if isinstance(value, bool) or not (isinstance(value, Integral) and value >= 1):
+        raise ArgumentError(f"{name} must be a positive integer, got {value!r}")

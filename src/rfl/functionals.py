@@ -20,13 +20,10 @@ import numpy as np
 
 from .errors import ArgumentError, DivergenceError, UnsupportedConfigurationError
 from .kernels import Kernel
-from .rkhs import GramSystem, RkhsFunction
+from .rkhs import GramSystem, RkhsFunction, _projected_at
 
 DEFAULT_QUADRATURE_POINTS = 257
 _MIN_QUADRATURE_POINTS = 33
-# rows per Gram solve in _projected_values; one solve of all 4000 rows of
-# an flm dataset left the process's peak RSS about 0.3 MB higher
-_SOLVE_BLOCK = 256
 _FLOAT_MAX = sys.float_info.max
 
 LINKS = {
@@ -189,21 +186,12 @@ class TargetFunctional:
     def _projected_values(self, system: GramSystem, node_values: np.ndarray) -> np.ndarray:
         """F(Pf) for each row of ``node_values``, the values of an f at ``system``'s nodes.
 
-        Each block of rows takes one solve, whose columns have the bits of
-        the per-row solves of :func:`rfl.rkhs.project`.  The kernel matrix
-        between :attr:`_points` and the nodes is built once and each row
-        takes its own matrix-vector product, the one :meth:`value` makes, so
-        row i gives the bits of ``value(project(system, node_values[i]))``;
-        one matrix product over all rows would round differently.
+        Pf is read at :attr:`_points` through :func:`rfl.rkhs._projected_at`,
+        so row i gives the bits of ``value(project(system, node_values[i]))``.
         """
         self._check_dim(system.kernel)
-        k = system.kernel.pairwise(self._points, system.points.points)
-        out = np.empty(len(node_values))
-        for i0 in range(0, len(out), _SOLVE_BLOCK):
-            coeffs = system.solve(node_values[i0 : i0 + _SOLVE_BLOCK].T)
-            for i, c in enumerate(coeffs.T, i0):
-                out[i] = self._from_values(k @ c)
-        return out
+        vals = _projected_at(system, node_values, self._points)
+        return np.fromiter(map(self._from_values, vals), float, len(node_values))
 
     def holder_exponent(self) -> float:
         return 1.0

@@ -8,11 +8,11 @@ back to a probe-based estimate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, ResourceLimitError
+from .errors import ArgumentError, ResourceLimitError, _check_positive_int
 from .kernels import _BLOCK_ENTRIES, _sq_dists
 
 DEFAULT_MAX_POINTS = 4096
@@ -31,18 +31,13 @@ class PointSet:
     dim: int
     points: np.ndarray
     grid_m: int | None = None
-    _validated: bool = field(default=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim == 1:
             pts = pts[:, None]
         object.__setattr__(self, "points", pts)
-        if self._validated:
-            pts.setflags(write=False)
-            return
-        if not (isinstance(self.dim, (int, np.integer)) and self.dim >= 1):
-            raise ArgumentError(f"dim must be a positive integer, got {self.dim!r}")
+        _check_positive_int(self.dim, "dim")
         if pts.ndim != 2 or pts.shape[1] != self.dim:
             raise ArgumentError(
                 f"points must be an (N, {self.dim}) array, got shape {pts.shape}"
@@ -53,7 +48,10 @@ class PointSet:
             raise ArgumentError("points must be finite")
         if pts.min() < 0.0 or pts.max() > 1.0:
             raise ArgumentError("all coordinates must lie in [0, 1]")
-        if np.unique(pts, axis=0).shape[0] != pts.shape[0]:
+        # equal neighbours after a lexicographic sort: the duplicates
+        # np.unique(axis=0) finds, at about a fifth of its cost on small sets
+        rows = pts[np.lexsort(pts.T)]
+        if (rows[1:] == rows[:-1]).all(axis=1).any():
             raise ArgumentError("point set contains duplicate points")
         if self.grid_m is not None and pts.shape[0] != (self.grid_m + 1) ** self.dim:
             raise ArgumentError("grid_m inconsistent with the number of points")
@@ -70,10 +68,8 @@ def uniform_grid(m: int, d: int) -> PointSet:
     (4096); Gram work downstream is dense, so the cap keeps memory and
     eigensolver cost bounded.
     """
-    if isinstance(m, bool) or not (isinstance(m, (int, np.integer)) and m >= 1):
-        raise ArgumentError(f"m must be a positive integer, got {m!r}")
-    if isinstance(d, bool) or not (isinstance(d, (int, np.integer)) and d >= 1):
-        raise ArgumentError(f"d must be a positive integer, got {d!r}")
+    _check_positive_int(m, "m")
+    _check_positive_int(d, "d")
     n = (m + 1) ** d
     if n > DEFAULT_MAX_POINTS:
         raise ResourceLimitError(
@@ -82,17 +78,16 @@ def uniform_grid(m: int, d: int) -> PointSet:
     axis = np.arange(m + 1) / m
     cols = np.meshgrid(*([axis] * d), indexing="ij")
     pts = np.stack([c.ravel() for c in cols], axis=1)
-    ps = PointSet(dim=int(d), points=pts, grid_m=int(m), _validated=True)
-    return ps
+    return PointSet(dim=int(d), points=pts, grid_m=int(m))
 
 
 def halton_points(n: int, d: int) -> PointSet:
     """Deterministic quasi-random probe set (unscrambled Halton sequence)."""
+    _check_positive_int(n, "n")
+    _check_positive_int(d, "d")
     from scipy.stats import qmc  # deferred: scipy.stats about doubles the import of rfl
 
-    sampler = qmc.Halton(d=d, scramble=False)
-    pts = sampler.random(n)
-    return PointSet(dim=int(d), points=pts, _validated=True)
+    return PointSet(dim=int(d), points=qmc.Halton(d=d, scramble=False).random(n))
 
 
 def _min_dists_to(points: np.ndarray, queries: np.ndarray) -> np.ndarray:

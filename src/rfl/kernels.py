@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ArgumentError, UnsupportedConfigurationError
+from .errors import ArgumentError, UnsupportedConfigurationError, _check_positive_int
 
 GAUSSIAN = "gaussian"
 INVERSE_MULTIQUADRIC = "inverse_multiquadric"
@@ -75,10 +75,7 @@ class Kernel:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ArgumentError(f"unknown kernel family {self.family!r}")
-        if isinstance(self.dim, bool) or not (
-            isinstance(self.dim, (int, np.integer)) and self.dim >= 1
-        ):
-            raise ArgumentError(f"dim must be a positive integer, got {self.dim!r}")
+        _check_positive_int(self.dim, "dim")
         for name in ("sigma", "beta", "r"):
             if not math.isfinite(getattr(self, name)):
                 raise ArgumentError(f"{name} must be finite, got {getattr(self, name)!r}")
@@ -328,8 +325,7 @@ def m_d_constant(d: int) -> float:
     that breaks the documented postcondition.  Everything in this package
     uses d <= 2.
     """
-    if not (isinstance(d, (int, np.integer)) and d >= 1):
-        raise ArgumentError(f"d must be a positive integer, got {d!r}")
+    _check_positive_int(d, "d")
     val = 12.0 * math.pi * math.gamma((d + 2) / 2.0) ** 2 / 9.0
     if not val <= 6.38 * d:
         raise UnsupportedConfigurationError(

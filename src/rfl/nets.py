@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._report import Report
-from .errors import ArgumentError, DivergenceError
+from .errors import ArgumentError, DivergenceError, _check_positive_int
 
 DEFAULT_WIDTHS = (64, 64)
 
@@ -52,8 +52,7 @@ def theoretical_widths(N: int, M: int) -> WidthSchedule:
     configuration.  A warning is issued when M <= 5 N^2, where the
     schedule's hypothesis fails.
     """
-    if not (isinstance(N, (int, np.integer)) and N >= 1):
-        raise ArgumentError(f"input dimension N must be a positive integer, got {N!r}")
+    _check_positive_int(N, "input dimension N")
     if not (isinstance(M, (int, np.integer)) and M >= 2):
         raise ArgumentError(f"M must be an integer >= 2, got {M!r}")
     if M <= 5 * N * N:
@@ -96,8 +95,7 @@ class TanhNetwork:
 
 def init(input_dim: int, widths: tuple[int, int], seed: int) -> TanhNetwork:
     """Glorot-uniform weights, zero biases, deterministic per seed."""
-    if not (isinstance(input_dim, (int, np.integer)) and input_dim >= 1):
-        raise ArgumentError(f"input_dim must be a positive integer, got {input_dim!r}")
+    _check_positive_int(input_dim, "input_dim")
     w1, w2 = int(widths[0]), int(widths[1])
     if w1 < 1 or w2 < 1:
         raise ArgumentError(f"widths must be >= 1, got {widths!r}")

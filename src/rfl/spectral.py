@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _exact
 from ._report import Report
-from .errors import ArgumentError, SingularGramError
+from .errors import ArgumentError, SingularGramError, _check_positive_int
 from .geometry import PointSet, fill_distance, uniform_grid
 from .kernels import Kernel
 from .rkhs import GramSystem, build_gram
@@ -104,8 +104,7 @@ def check_eigen_lower_bound(kernel: Kernel, m: int, d: int | None = None) -> Spe
         raise ArgumentError(
             f"requested dimension {d} conflicts with the kernel descriptor ({kernel.dim})"
         )
-    if not (isinstance(m, (int, np.integer)) and not isinstance(m, bool) and m >= 1):
-        raise ArgumentError(f"grid parameter m must be a positive integer, got {m!r}")
+    _check_positive_int(m, "grid parameter m")
     gamma = kernel.gamma_m(int(m))
     grid = uniform_grid(int(m), int(d))
     system = build_gram(kernel, grid)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-import rfl.functionals
+import rfl.rkhs
 from rfl import (
     BETAS,
     LINKS,
@@ -425,7 +425,7 @@ def test_projected_values_bit_identical_to_per_sample_projection(kernel, m):
 @pytest.mark.parametrize("m", [16, 32, 64, 200])
 def test_projected_values_bit_identical_on_larger_grids(m, monkeypatch):
     # blocks of 7 rows leave a partial last block
-    monkeypatch.setattr(rfl.functionals, "_SOLVE_BLOCK", 7)
+    monkeypatch.setattr(rfl.rkhs, "_SOLVE_BLOCK", 7)
     system = build_gram(GAUSS, uniform_grid(m, 1))
     rows = np.array(
         [sample_unit_ball(GAUSS, 10, 0.9, s).eval_at(system.points.points) for s in range(40)]

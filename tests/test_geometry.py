@@ -103,18 +103,33 @@ def test_pointset_validation():
         PointSet(dim=1, points=np.array([[-0.1]]))
     with pytest.raises(ArgumentError):
         PointSet(dim=1, points=np.array([[0.2], [0.2]]))
+    with pytest.raises(ArgumentError, match="duplicate"):
+        PointSet(dim=2, points=np.array([[0.1, 0.2], [0.1, 0.3], [0.0, 0.2], [0.1, 0.2]]))
+    with pytest.raises(ArgumentError, match="duplicate"):
+        PointSet(dim=1, points=np.array([[0.0], [-0.0]]))
     with pytest.raises(ArgumentError):
         PointSet(dim=1, points=np.array([[np.nan]]))
     with pytest.raises(ArgumentError):
         PointSet(dim=0, points=np.zeros((1, 0)))
     with pytest.raises(ArgumentError):
         PointSet(dim=1, points=np.array([[0.0], [1.0]]), grid_m=4)
+    # True was accepted as a dimension
+    with pytest.raises(ArgumentError, match="positive integer"):
+        PointSet(dim=True, points=np.array([[0.5]]))
 
 
 def test_pointset_immutable():
-    ps = uniform_grid(2, 1)
-    with pytest.raises(ValueError):
-        ps.points[0] = 0.7
+    for ps in (uniform_grid(2, 1), halton_points(5, 2)):
+        with pytest.raises(ValueError):
+            ps.points[0] = 0.7
+
+
+@pytest.mark.parametrize("n, d", [(0, 1), (-1, 1), (True, 1), (2.0, 1), (4, 0), (4, True)])
+def test_halton_validation(n, d):
+    # (0, 1) was an empty set, (4, 0) four 0-dimensional points, and (-1, 1)
+    # and (True, 1) failed inside scipy with a bare ValueError or TypeError
+    with pytest.raises(ArgumentError, match="positive integer"):
+        halton_points(n, d)
 
 
 def test_one_dim_input_promoted():

@@ -396,6 +396,9 @@ def test_m_d_constant_errors():
         m_d_constant(0)
     with pytest.raises(ArgumentError):
         m_d_constant(-2)
+    # True was read as d = 1
+    with pytest.raises(ArgumentError, match="positive integer"):
+        m_d_constant(True)
     # the formula outgrows its own envelope from d=5 on
     with pytest.raises(UnsupportedConfigurationError):
         m_d_constant(5)

@@ -49,6 +49,9 @@ def test_theoretical_widths_validation():
         theoretical_widths(0, 10)
     with pytest.raises(ArgumentError):
         theoretical_widths(1, 1)
+    # True was read as N = 1
+    with pytest.raises(ArgumentError, match="positive integer"):
+        theoretical_widths(True, 10)
 
 
 def test_init_shapes_and_glorot_bounds():
@@ -81,6 +84,9 @@ def test_init_validation():
         init(0, (4, 4), seed=0)
     with pytest.raises(ArgumentError):
         init(2, (0, 4), seed=0)
+    # True was read as one input
+    with pytest.raises(ArgumentError, match="positive integer"):
+        init(True, (2, 2), seed=0)
 
 
 def test_forward_frozen_composition():

@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+import rfl.rkhs
 from rfl import (
     ArgumentError,
     GramSystem,
@@ -21,17 +22,19 @@ from rfl import (
     SingularGramError,
     build_gram,
     default_power_eval_set,
+    halton_points,
     power_function_sup,
     power_values,
     project,
     rkhs_inner,
     rkhs_norm,
     sample_unit_ball,
-    sup_error,
     uniform_grid,
 )
+from rfl.rkhs import _projected_at
 
 GAUSS = Kernel("gaussian", sigma=1.0, dim=1)
+EPS = float(np.finfo(float).eps)
 
 TEST_KERNELS = [
     GAUSS,
@@ -271,6 +274,11 @@ def test_sample_unit_ball_validation():
         sample_unit_ball(GAUSS, 10, 0.0, seed=0)
     with pytest.raises(ArgumentError):
         sample_unit_ball(GAUSS, 10, 1.5, seed=0)
+    # True was a center count that failed inside numpy, and a norm target of 1
+    with pytest.raises(ArgumentError):
+        sample_unit_ball(GAUSS, True, 0.5, seed=0)
+    with pytest.raises(ArgumentError):
+        sample_unit_ball(GAUSS, 3, True, seed=0)
 
 
 def test_sample_unit_ball_degenerate_draws(monkeypatch):
@@ -286,17 +294,6 @@ def test_sample_unit_ball_degenerate_draws(monkeypatch):
     monkeypatch.setattr(rkhs_mod.np.random, "default_rng", lambda seed: ZeroRng())
     with pytest.raises(SingularGramError):
         sample_unit_ball(GAUSS, 4, 0.5, seed=0)
-
-
-def test_sup_error():
-    grid = uniform_grid(64, 1)
-    f = sample_unit_ball(GAUSS, 8, 1.0, seed=9)
-    half = RkhsFunction(GAUSS, f.centers, 0.5 * f.coeffs)
-    expected = 0.5 * float(np.abs(f.eval_at(grid.points)).max())
-    assert sup_error(f, half, grid) == pytest.approx(expected, rel=1e-12)
-    other = sample_unit_ball(Kernel("sobolev", r=2.0, dim=1), 8, 1.0, seed=9)
-    with pytest.raises(ArgumentError):
-        sup_error(f, other, grid)
 
 
 def test_rkhs_function_json_roundtrip():
@@ -333,3 +330,96 @@ def test_spline_sobolev_power_values_do_not_escalate(r):
         pf = project(system, f.eval_at(system.points.points))
         err = np.abs(f.eval_at(X) - pf.eval_at(X))
         assert (err <= rkhs_norm(f) * pvals * (1.0 + 1e-6)).all()
+
+
+def kernel_id(kernel):
+    shape = f"r={kernel.r}" if kernel.family == "sobolev" else f"s={kernel.sigma},b={kernel.beta}"
+    return f"{kernel.family}-{shape}-d{kernel.dim}"
+
+
+PROJECTED_AT_SYSTEMS = [
+    (Kernel("gaussian", sigma=0.5, dim=1), 12),
+    (Kernel("gaussian", sigma=1.0, dim=1), 8),
+    (Kernel("inverse_multiquadric", sigma=1.0, beta=1.0, dim=1), 6),
+    (Kernel("inverse_multiquadric", sigma=0.5, beta=1.5, dim=1), 8),
+    (Kernel("sobolev", r=1.0, dim=1), 16),
+    (Kernel("sobolev", r=2.0, dim=1), 16),
+    (Kernel("sobolev", r=1.25, dim=1), 16),
+    (Kernel("gaussian", sigma=1.0, dim=2), 4),
+    (Kernel("inverse_multiquadric", sigma=0.5, beta=1.5, dim=2), 4),
+]
+
+
+@pytest.mark.parametrize("block", [None, 7], ids=["block256", "block7"])
+@pytest.mark.parametrize(
+    "kernel, m", PROJECTED_AT_SYSTEMS, ids=[f"{kernel_id(k)}-m{m}" for k, m in PROJECTED_AT_SYSTEMS]
+)
+def test_projected_at_bit_identical_to_per_row_projection(kernel, m, block, monkeypatch):
+    # rfl project's route, on its default evaluation set; blocks of 7 rows
+    # leave a partial last block
+    if block is not None:
+        monkeypatch.setattr(rfl.rkhs, "_SOLVE_BLOCK", block)
+    system = build_gram(kernel, uniform_grid(m, kernel.dim))
+    X = default_power_eval_set(system.points).points
+    rows = np.array(
+        [sample_unit_ball(kernel, 10, 0.8, s).eval_at(system.points.points) for s in range(30)]
+    )
+    batched = list(_projected_at(system, rows, X))
+    assert len(batched) == len(rows)
+    for row, vals in zip(rows, batched):
+        assert vals.tobytes() == project(system, row).eval_at(X).tobytes()
+
+
+def _node_sets(kernel):
+    yield uniform_grid(6 if kernel.dim == 1 else 3, kernel.dim)
+    yield halton_points(7 if kernel.dim == 1 else 16, kernel.dim)
+
+
+def _seeded_draws(kernel, seed, n):
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        target = float(rng.uniform(0.2, 1.0))
+        yield sample_unit_ball(kernel, 10, target, int(rng.integers(2**32)))
+
+
+PROPERTY_KERNELS = [
+    Kernel("gaussian", sigma=1.0, dim=1),
+    Kernel("gaussian", sigma=0.5, dim=2),
+    Kernel("inverse_multiquadric", sigma=1.0, beta=1.0, dim=1),
+    Kernel("inverse_multiquadric", sigma=0.5, beta=1.5, dim=2),
+    Kernel("sobolev", r=1.0, dim=1),
+    Kernel("sobolev", r=2.0, dim=1),
+    Kernel("sobolev", r=1.25, dim=1),
+]
+
+
+@pytest.mark.parametrize("kernel", PROPERTY_KERNELS, ids=kernel_id)
+def test_projector_is_idempotent(kernel):
+    # P(Pf) = Pf: Pf's node values give back Pf's coefficients; jitter would
+    # break exact interpolation, so every system here must factor unjittered
+    for nodes in _node_sets(kernel):
+        system = build_gram(kernel, nodes)
+        assert system.jitter_used == 0.0
+        cond = np.linalg.cond(system.gram)
+        for f in _seeded_draws(kernel, 3, 5):
+            pf = project(system, f.eval_at(nodes.points))
+            ppf = project(system, pf.eval_at(nodes.points))
+            # the solve's forward error bound, relative to the coefficients
+            tol = 10.0 * cond * EPS * np.abs(pf.coeffs).max()
+            assert np.abs(ppf.coeffs - pf.coeffs).max() <= tol
+
+
+@pytest.mark.parametrize("kernel", PROPERTY_KERNELS, ids=kernel_id)
+def test_power_bounds_unit_ball_samples_on_grids_and_halton_nodes(kernel):
+    # |f(x) - Pf(x)| <= ||f|| P(x) for every family, d = 2 and Halton nodes included
+    X = halton_points(257, kernel.dim).points
+    for nodes in _node_sets(kernel):
+        system = build_gram(kernel, nodes)
+        pvals = power_values(system, X)
+        for f in _seeded_draws(kernel, 5, 8):
+            pf = project(system, f.eval_at(nodes.points))
+            err = np.abs(f.eval_at(X) - pf.eval_at(X))
+            # plus the rounding of the two evaluations, all there is at a node
+            coeff_sum = np.abs(f.coeffs).sum() + np.abs(pf.coeffs).sum()
+            slack = 1e2 * EPS * kernel.diagonal() * coeff_sum
+            assert np.all(err <= rkhs_norm(f) * pvals * (1.0 + 1e-6) + slack)
