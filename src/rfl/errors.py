@@ -46,3 +46,9 @@ def _check_positive_int(value, name: str) -> None:
     """Raise :class:`ArgumentError` unless ``value`` is an integer >= 1; a bool is not one."""
     if isinstance(value, bool) or not (isinstance(value, Integral) and value >= 1):
         raise ArgumentError(f"{name} must be a positive integer, got {value!r}")
+
+
+def _check_nonnegative_int(value, name: str) -> None:
+    """Raise :class:`ArgumentError` unless ``value`` is an integer >= 0; a bool is not one."""
+    if isinstance(value, bool) or not (isinstance(value, Integral) and value >= 0):
+        raise ArgumentError(f"{name} must be a non-negative integer, got {value!r}")

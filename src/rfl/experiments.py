@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._report import Report
-from .errors import ArgumentError, DivergenceError
+from .errors import ArgumentError, DivergenceError, _check_nonnegative_int
 from .functionals import TargetFunctional
 from .geometry import PointSet, uniform_grid
 from .kernels import GAUSSIAN, INVERSE_MULTIQUADRIC, SOBOLEV, Kernel, m_d_constant
@@ -90,8 +90,7 @@ def _unit_ball_draws(kernel: Kernel, n_samples: int, seed: int, n_centers: int):
     ``_NORM_TARGET_RANGE``, from the master generator, so the sequence of
     functions is a pure function of ``seed``.
     """
-    if seed < 0:
-        raise ArgumentError(f"seed must be a non-negative integer, got {seed!r}")
+    _check_nonnegative_int(seed, "seed")
     rng = np.random.default_rng(seed)
     for _ in range(n_samples):
         child = int(rng.integers(0, 2**63 - 1))

@@ -29,7 +29,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ArgumentError, UnsupportedConfigurationError, _check_positive_int
+from .errors import (
+    ArgumentError,
+    UnsupportedConfigurationError,
+    _check_nonnegative_int,
+    _check_positive_int,
+)
 
 GAUSSIAN = "gaussian"
 INVERSE_MULTIQUADRIC = "inverse_multiquadric"
@@ -181,8 +186,7 @@ class Kernel:
                 "gamma_m needs a Fourier transform; none exists for the "
                 "inverse multiquadric kernel"
             )
-        if not (isinstance(m, (int, np.integer)) and m >= 0):
-            raise ArgumentError(f"m must be a nonnegative integer, got {m!r}")
+        _check_nonnegative_int(m, "m")
         if self.family == GAUSSIAN:
             amp = (2.0 * self.sigma**2 * math.pi) ** (self.dim / 2.0)
             return amp * math.exp(-self.sigma**2 * math.pi**2 * self.dim * m**2 / 2.0)

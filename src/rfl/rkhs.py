@@ -16,16 +16,18 @@ Numerical policy
 Factorization uses Cholesky with an escalating diagonal jitter ladder
 (0, then 1e-12 * trace/N doubling up to 1e-6 * trace/N); the jitter actually
 used is recorded on the system.  Power-function values are Schur complements
-computed in double precision; when a system is unjittered and the computed
-values fall below the double-precision noise floor, the affected batch is
-recomputed from exact node coordinates in extended precision (see
-:mod:`rfl._exact`).  That path factors the node Gram once per batch and
-runs the kernel profile and one forward substitution per point as raw
-``mpmath.libmp`` calls at an explicit precision, exact 0 at the nodes.
-Jittered systems never escalate: their Schur complement is an upper bound for the
-exact one and sits safely above the noise.  Spline kernels (sobolev orders
-other than r in {1, 2}) are only accurate to double precision and never
-escalate either: their entries below the floor are raised to the floor.
+computed in double precision.  On an unjittered system every value below the
+double-precision noise floor 1e3 * N * eps * K(x,x) is recomputed from exact
+node coordinates in extended precision (see :mod:`rfl._exact`).  That path
+factors the node Gram once per call and runs the kernel profile and one
+forward substitution per point as raw ``mpmath.libmp`` calls at an explicit
+precision, exact 0 at the nodes.  The sup of the power function is the
+largest of these pointwise values, so :func:`power_function_sup` and
+:func:`power_values` never disagree.  Jittered systems never escalate: their
+Schur complement is an upper bound for the exact one and sits safely above
+the noise.  Spline kernels (sobolev orders other than r in {1, 2}) are only
+accurate to double precision and never escalate either: their entries below
+the floor are raised to the floor.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import numpy as np
 from scipy.linalg import cho_solve
 
 from . import _exact
-from .errors import ArgumentError, SingularGramError, _check_positive_int
+from .errors import ArgumentError, SingularGramError, _check_nonnegative_int, _check_positive_int
 from .geometry import PointSet, halton_points, uniform_grid
 from .kernels import Kernel
 
@@ -48,6 +50,9 @@ JITTER_MAX_FACTOR = 1e-6
 _DEGENERATE_NORM = 1e-6
 _COEFF_GUARD = 1e3
 _SAMPLE_ATTEMPTS = 8
+# Schur complements below _SCHUR_FLOOR * N * eps * K(x,x) on an unjittered
+# system are double-precision noise
+_SCHUR_FLOOR = 1e3
 # rows per Gram solve in _projected_at; one solve of all 4000 rows of an
 # flm dataset left the process's peak RSS about 0.3 MB higher
 _SOLVE_BLOCK = 256
@@ -59,8 +64,6 @@ class GramSystem:
 
     ``gram`` always holds the exact double-precision kernel matrix; the
     Cholesky ``factor`` belongs to ``gram + jitter_used * I``.
-    ``condition_estimate`` is the squared ratio of the extreme diagonal
-    entries of the factor, a cheap lower estimate of the condition number.
     """
 
     kernel: Kernel
@@ -68,7 +71,6 @@ class GramSystem:
     gram: np.ndarray
     factor: np.ndarray
     jitter_used: float
-    condition_estimate: float
 
     def __len__(self) -> int:
         return len(self.points)
@@ -152,15 +154,8 @@ def build_gram(kernel: Kernel, points: PointSet) -> GramSystem:
                     f"Cholesky failed up to jitter {JITTER_MAX_FACTOR * mean_diag:.3e} "
                     f"for {kernel.family} on {n} nodes (nodes too close or kernel too flat)"
                 ) from None
-    diag = np.diag(factor)
-    cond = float((diag.max() / diag.min()) ** 2)
     return GramSystem(
-        kernel=kernel,
-        points=points,
-        gram=gram,
-        factor=factor,
-        jitter_used=float(jitter),
-        condition_estimate=cond,
+        kernel=kernel, points=points, gram=gram, factor=factor, jitter_used=float(jitter)
     )
 
 
@@ -196,56 +191,38 @@ def _projected_at(system: GramSystem, node_values: np.ndarray, X: np.ndarray):
             yield k @ c
 
 
-def _schur_floor(n: int, diag: float, scale: float) -> float:
-    return scale * n * _EPS * diag
-
-
-def _power_squared(system: GramSystem, X: np.ndarray, mode: str) -> np.ndarray:
+def _power_squared(system: GramSystem, X: np.ndarray) -> np.ndarray:
     """Schur complements K(x,x) - k_x^T (gram + jitter)^{-1} k_x on a batch.
 
-    ``mode`` selects the escalation rule: "point" guards every entry (used
-    when individual values carry meaning) and recomputes just the entries
-    below the double-precision floor in extended precision; "max" only
-    guards the largest entry (enough for sup computations) and recomputes
-    the whole batch when even the maximum sits below the floor.
-    Escalation only ever fires on unjittered systems; a jittered Schur
-    complement is already a valid upper bound.  Kernels without an
-    extended-precision profile (see :func:`rfl._exact.supports`) never
-    escalate: their entries below the floor are raised to the floor.
+    On an unjittered system each entry below the floor
+    ``_SCHUR_FLOOR * N * eps * K(x,x)`` is recomputed in extended precision,
+    or raised to the floor for kernels without an extended-precision
+    profile (see :func:`rfl._exact.supports`).  A jittered Schur complement
+    is already a valid upper bound and is returned as computed.
     """
     k = system.kernel.pairwise(system.points.points, X)
     s = system.kernel.diagonal() - np.einsum("ij,ij->j", k, system.solve(k))
     if system.jitter_used == 0.0:
-        n = len(system)
-        diag = system.kernel.diagonal()
-        exact = _exact.supports(system.kernel)
-        if mode == "point":
-            floor = _schur_floor(n, diag, 1e3)
-            low = s < floor
-            if low.any():
-                s = s.copy()
-                s[low] = (
-                    _exact.schur_values(system.kernel, system.points.points, X[low])
-                    if exact
-                    else floor
-                )
-        else:
-            floor = _schur_floor(n, diag, 1e2)
-            if s.max() < floor:
-                return (
-                    _exact.schur_values(system.kernel, system.points.points, X)
-                    if exact
-                    else np.full_like(s, floor)
-                )
+        floor = _SCHUR_FLOOR * len(system) * _EPS * system.kernel.diagonal()
+        low = s < floor
+        if low.any():
+            s[low] = (
+                _exact.schur_values(system.kernel, system.points.points, X[low])
+                if _exact.supports(system.kernel)
+                else floor
+            )
     return np.maximum(s, 0.0)
 
 
 def power_values(system: GramSystem, eval_points) -> np.ndarray:
     """Power function on a batch of points with pointwise guarantees."""
-    X = eval_points.points if isinstance(eval_points, PointSet) else np.atleast_2d(
-        np.asarray(eval_points, dtype=float)
-    )
-    return np.sqrt(_power_squared(system, X, mode="point"))
+    if isinstance(eval_points, PointSet):
+        X = eval_points.points
+    else:
+        X = np.atleast_2d(np.asarray(eval_points, dtype=float))
+        if not np.isfinite(X).all():
+            raise ArgumentError("evaluation points must be finite")
+    return np.sqrt(_power_squared(system, X))
 
 
 def default_power_eval_set(points: PointSet) -> PointSet:
@@ -262,11 +239,10 @@ def default_power_eval_set(points: PointSet) -> PointSet:
 
 
 def power_function_sup(system: GramSystem, eval_set: PointSet | None = None) -> float:
-    """Maximum of the power function over a dense evaluation set."""
+    """Maximum of :func:`power_values` over a dense evaluation set."""
     if eval_set is None:
         eval_set = default_power_eval_set(system.points)
-    s = _power_squared(system, eval_set.points, mode="max")
-    return float(np.sqrt(s.max()))
+    return float(np.sqrt(_power_squared(system, eval_set.points).max()))
 
 
 def rkhs_inner(f: RkhsFunction, g: RkhsFunction) -> float:
@@ -299,6 +275,7 @@ def sample_unit_ball(
     rejected and redrawn from the same stream (at most 8 attempts).
     """
     _check_positive_int(n_centers, "n_centers")
+    _check_nonnegative_int(seed, "seed")
     if isinstance(norm_target, bool) or not (0.0 < norm_target <= 1.0):
         raise ArgumentError(f"norm_target must lie in (0, 1], got {norm_target!r}")
     rng = np.random.default_rng(seed)

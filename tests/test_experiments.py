@@ -79,6 +79,9 @@ def test_generate_dataset_validation():
         generate_dataset(GAUSS, ENERGY, m=2, n_samples=0, seed=0)
     with pytest.raises(ArgumentError):
         generate_dataset(GAUSS, ENERGY, m=2, n_samples=10, seed=-1)
+    # True drew the dataset of seed 1
+    with pytest.raises(ArgumentError, match="seed"):
+        generate_dataset(GAUSS, ENERGY, m=2, n_samples=10, seed=True)
 
 
 @pytest.mark.parametrize("n_samples", [True, False, 10.5, 0.0])

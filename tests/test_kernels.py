@@ -326,6 +326,10 @@ def test_gamma_m_monotone_and_errors():
         g.gamma_m(-1)
     with pytest.raises(ArgumentError):
         g.gamma_m(2.5)
+    # True returned the m = 1 value and False the m = 0 one
+    for m in (True, False):
+        with pytest.raises(ArgumentError, match="non-negative integer"):
+            g.gamma_m(m)
 
 
 def test_holder_data_frozen():

@@ -47,7 +47,6 @@ def test_build_gram_basic():
     sys2 = build_gram(GAUSS, uniform_grid(2, 1))
     assert len(sys2) == 3
     assert sys2.jitter_used == 0.0
-    assert sys2.condition_estimate >= 1.0
     assert np.array_equal(sys2.gram, sys2.gram.T)
     # factor reproduces the matrix
     assert np.allclose(sys2.factor @ sys2.factor.T, sys2.gram, atol=1e-14)
@@ -192,6 +191,14 @@ def test_power_values_batch_matches_pointwise():
     assert np.array_equal(batch, aspoints)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_power_values_rejects_non_finite_points(bad):
+    # scipy's cho_solve raised a bare ValueError for these
+    system = build_gram(GAUSS, uniform_grid(4, 1))
+    with pytest.raises(ArgumentError, match="finite"):
+        power_values(system, np.array([[0.5], [bad]]))
+
+
 def test_power_function_vanishes_at_nodes():
     for kernel in TEST_KERNELS:
         system = build_gram(kernel, uniform_grid(4, 1))
@@ -279,6 +286,10 @@ def test_sample_unit_ball_validation():
         sample_unit_ball(GAUSS, True, 0.5, seed=0)
     with pytest.raises(ArgumentError):
         sample_unit_ball(GAUSS, 3, True, seed=0)
+    # -1 and 2.5 failed inside numpy; True drew seed 1 and None fresh entropy
+    for seed in (-1, 2.5, True, False, None):
+        with pytest.raises(ArgumentError, match="seed must be a non-negative integer"):
+            sample_unit_ball(GAUSS, 3, 0.5, seed)
 
 
 def test_sample_unit_ball_degenerate_draws(monkeypatch):
@@ -423,3 +434,57 @@ def test_power_bounds_unit_ball_samples_on_grids_and_halton_nodes(kernel):
             coeff_sum = np.abs(f.coeffs).sum() + np.abs(pf.coeffs).sum()
             slack = 1e2 * EPS * kernel.diagonal() * coeff_sum
             assert np.all(err <= rkhs_norm(f) * pvals * (1.0 + 1e-6) + slack)
+
+
+SUP_SYSTEMS = [
+    *((Kernel("gaussian", sigma=sigma, dim=1), m) for sigma in (0.5, 1.0, 2.0) for m in (2, 4, 7)),
+    *((Kernel("inverse_multiquadric", sigma=1.0, beta=1.0, dim=1), m) for m in (2, 8, 15)),
+    *((Kernel("sobolev", r=r, dim=1), m) for r in (1.0, 2.0, 1.25) for m in (2, 8, 16)),
+    (Kernel("gaussian", sigma=1.0, dim=2), 2),
+    (Kernel("gaussian", sigma=0.5, dim=2), 4),
+    (Kernel("gaussian", sigma=0.5, dim=2), None),
+]
+
+
+@pytest.mark.parametrize(
+    "kernel, m", SUP_SYSTEMS, ids=[f"{kernel_id(k)}-m{m}" for k, m in SUP_SYSTEMS]
+)
+def test_power_function_sup_is_the_max_of_power_values(kernel, m):
+    # one escalation rule: the sup is the largest pointwise value, bit for
+    # bit; m = None stands for 16 Halton nodes, and d = 2 evaluates on
+    # 4096 Halton points
+    nodes = halton_points(16, 2) if m is None else uniform_grid(m, kernel.dim)
+    system = build_gram(kernel, nodes)
+    assert system.jitter_used == 0.0
+    eval_set = default_power_eval_set(nodes)
+    assert power_function_sup(system, eval_set) == power_values(system, eval_set).max()
+
+
+# sups whose double-precision square lay between a tenth of the noise floor
+# and the floor, which a whole-batch escalation rule returned unescalated.
+# at_doubles: 120-digit forward substitution (Wendland 2005, sec. 11.1) on
+# the grids' double coordinates, rounded once; at_rationals: the same on the
+# exact rationals j/m and i/(16m).
+SUPS_NEAR_THE_FLOOR = [
+    (Kernel("inverse_multiquadric", sigma=1.0, beta=1.0, dim=1), 15,
+     9.6026298931856e-07, 9.602629893185602e-07),
+    (Kernel("gaussian", sigma=0.5, dim=1), 10, 9.043441890807872e-07, 9.043441890807871e-07),
+    (Kernel("gaussian", sigma=2.0, dim=1), 5, 6.149307075946224e-07, 6.149307075946222e-07),
+    (Kernel("gaussian", sigma=1.0, dim=1), 7, 5.049083327753045e-07, 5.049083327753042e-07),
+    (Kernel("gaussian", sigma=0.25, dim=1), 16, 1.2174843591313893e-06, 1.2174843591313893e-06),
+    (Kernel("inverse_multiquadric", sigma=1.0, beta=0.5, dim=1), 14,
+     9.498476234765438e-07, 9.49847623476544e-07),
+]
+
+
+@pytest.mark.parametrize(
+    "kernel, m, at_doubles, at_rationals",
+    SUPS_NEAR_THE_FLOOR,
+    ids=[f"{kernel_id(k)}-m{m}" for k, m, *_ in SUPS_NEAR_THE_FLOOR],
+)
+def test_power_function_sup_near_the_floor_is_exact(kernel, m, at_doubles, at_rationals):
+    # the first IMQ sup read 1.0429216160504421e-06 (+8.6 %) before, and the
+    # gaussian sigma = 0.25 one 7.10818189487937e-07, a bound 42 % too small
+    sup = power_function_sup(build_gram(kernel, uniform_grid(m, 1)))
+    assert sup == at_doubles
+    assert sup == pytest.approx(at_rationals, rel=1e-14)
