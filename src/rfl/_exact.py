@@ -22,29 +22,49 @@ mpf_pow takes ``log e`` afresh for every exponent that is not a
 half-integer, and here it is taken once per call at the same precision,
 which gives the same bits.
 
-The grid eigensolve reduces the Gram matrix to tridiagonal form T by
-Householder similarity transforms.  Only the smallest eigenvalue of T is
-wanted, so no QL sweep follows: Sturm counts, one O(n) pivot recurrence
-each (Barth, Martin & Wilkinson, *Numer. Math.* 9, 1967; Kahan, *Accurate
-eigenvalues of a symmetric tri-diagonal matrix*, 1966), bracket it, and
-Newton's method on det(T - mu I) from below closes the bracket.  The value
-is returned only if the bracket, widened by delta = ``_DELTA_ULPS`` n u |T|
-with u = 2^-prec, rounds to one double; otherwise the whole solve reruns
-at the precision the bracket shows it needs, up to a cap.
+The grid eigensolve never forms the 1-D Gram.  On the uniform grid it is
+the symmetric Toeplitz matrix of t_k = phi((k / m)^2), k = 0..m, so it is
+centrosymmetric, and with J the exchange matrix and B the upper right
+block of order n // 2 (n = m + 1) it is orthogonally similar to the direct
+sum of A - BJ, of order n // 2, and A + BJ, of order n - n // 2, which for
+odd n carries the border sqrt(2) t and the corner t_0 of the middle node
+(Cantoni & Butler, *Linear Algebra Appl.* 13, 1976).  Its spectrum is the
+union of theirs.  Each block is reduced to tridiagonal form T by
+Householder similarity transforms, at a quarter of the full reduction's
+work for both.  Only the smallest eigenvalue is wanted, so no QL sweep
+follows: Sturm counts, one O(n) pivot recurrence each (Barth, Martin &
+Wilkinson, *Numer. Math.* 9, 1967; Kahan, *Accurate eigenvalues of a
+symmetric tri-diagonal matrix*, 1966), bracket it, and Newton's method on
+det(T - mu I) from below closes the bracket.  Only the block with the lower
+Newton bound from 0 is refined.  One Sturm count of the other block at the
+bracket's lower end certifies that it has no eigenvalue below; if it has,
+that block is refined too, and the smaller double is the Gram's, as
+rounding is monotone.  The value is returned only if the bracket, widened
+by delta = ``_DELTA_ULPS`` n u |T| with u = 2^-prec, rounds to one double;
+otherwise the whole solve reruns at the precision the bracket shows it
+needs, up to a cap.
 
-delta covers the rounding of the Gram and of its reduction.  Each Gram
-entry is a few rounded operations on exact coordinates, and the profiles
-are positive, so the Gram is off by a few u |K|.  Each dot product and
-rank-2 update of the reduction is a sum of exact products rounded once,
-so its error is u times its terms' magnitudes with no factor of its
-length (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
-2002, sec. 3.1).  Each of the n - 2 transforms then adds a constant times
-u |K| of backward error, so T is the exact reduction of a matrix within
-order n u |K| of the Gram (Wilkinson, *The Algebraic Eigenvalue Problem*,
-1965, ch. 3 and 5; Higham ch. 19), and by Weyl's inequality lambda_min
-moves no further.  The constant is measured: over the seven kernels of
-the tests at m in {4, 8, 12, 16, 24, 32}, |lambda_min(T) - lambda_150| is
-at most 0.23 n u |T| at 169 bits and 0.21 at 338 bits.
+delta covers the rounding of the blocks and of their reduction.  Each t_k
+is a few rounded operations on k / m rounded once, and the profiles are
+positive, so each is off by a few u t_0 <= u |K|.  The exact blocks of
+these rounded t_k are an exact orthogonal similarity of their Toeplitz
+matrix, and rounding the entries t_|i-j| +- t_(n-1-i-j) once, and sqrt(2)
+and its products with t, adds at most 3 u |K| per entry, so order n u |K|
+in norm.  Each dot product and rank-2 update of the reduction is a sum of
+exact products rounded once, so its error is u times its terms' magnitudes
+with no factor of its length (Higham, *Accuracy and Stability of Numerical
+Algorithms*, 2nd ed., 2002, sec. 3.1).  Each of the transforms then adds a
+constant times u |K| of backward error, so each T is the exact reduction
+of a matrix within order n u |K| of its exact block (Wilkinson, *The
+Algebraic Eigenvalue Problem*, 1965, ch. 3 and 5; Higham ch. 19), and by
+Weyl's inequality lambda_min moves no further.  |T| is therefore the
+larger of the two blocks' Gershgorin norms, which bounds |K|, for both
+blocks.  A block's own norm would not do: for a flat kernel A - BJ
+cancels to a norm far below |K| while its entries keep the u |K| rounding
+of the t_k (gaussian sigma = 1e3 at m = 5 would certify a wrong double).
+The constant is measured: over the seven kernels of the tests at m in
+{4, 8, 12, 16, 24, 32}, |lambda_min(T) - lambda_150| is at most
+0.54 n u |T| at 169 bits and 0.29 at 338 bits.
 
 libmp functions read no context state, so nothing here reads or writes the
 process-wide ``mpmath.mp`` precision and concurrent callers cannot change
@@ -54,9 +74,10 @@ dependency-free apart from mpmath itself.
 :func:`schur_values` factors the node Gram K = L L^T once per call as
 ``MPContext.cholesky`` does, 10 guard bits up, and per point returns
 K(x,x) - |z|^2 from one forward substitution L z = k (Wendland, *Scattered
-Data Approximation*, 2005, sec. 11.1), with no back substitution or k . y;
-a point equal to a node returns exactly 0.  The profile is evaluated once
-per distinct squared distance within a call.
+Data Approximation*, 2005, sec. 11.1), with no back substitution or k . y.
+The profile is evaluated once per distinct squared distance within a call.
+Points equal to a node are left to the caller: their value is exactly 0,
+and :mod:`rkhs` answers them without a factor.
 """
 
 from __future__ import annotations
@@ -104,9 +125,10 @@ _GUARD_BITS = 10
 _RND = "n"
 # Sturm counts allowed to refine one grid eigenvalue, per bit of working precision
 _STEPS_PER_BIT = 2
-# bound on the rounding of the grid Gram and its tridiagonal reduction, in
-# units of 2^-prec |T| per row of the matrix (the supported kernels at
-# m <= 32 and 169 or 338 bits stay below 0.25; tests/test_exact.py holds 2)
+# bound on the rounding of the grid Gram's blocks and their tridiagonal
+# reduction, in units of 2^-prec |T| per row of the Gram (the supported
+# kernels at m <= 32 and 169 or 338 bits stay below 0.54; tests/test_exact.py
+# holds 2)
 _DELTA_ULPS = 64
 # bits kept past a double's 53 when a grid eigensolve reruns
 _MARGIN_BITS = 32
@@ -276,13 +298,15 @@ def _one_float(lo, hi, power: int, prec: int):
     return value if value == to_float(mpf_pow_int(hi, power, prec, "c"), rnd=_RND) else None
 
 
-def _certified_power(d: list, e: list, power: int, delta, prec: int):
-    """``lambda_min(T) ** power`` of the raw tridiagonal (``d``, ``e``), if ``prec`` bits hold it.
+def _certified_power(d: list, e2: list, power: int, delta, prec: int):
+    """``lambda_min(T) ** power`` of a raw tridiagonal T, if ``prec`` bits hold it.
 
-    Sturm counts bracket the smallest eigenvalue between ``lo`` (none below)
-    and ``hi`` (one below).  The search starts at the power of two under
-    Newton's step from 0, itself below lambda_min, and doubles until the
-    count turns, which it does below 2 min(d) as lambda_min <= min(d).
+    ``d`` is the diagonal of T and ``e2`` its squared off-diagonal as
+    :func:`_sturm` reads it.  Sturm counts bracket the smallest eigenvalue
+    between ``lo`` (none below) and ``hi`` (one below).  The search starts
+    at the power of two under Newton's step from 0, itself below
+    lambda_min, and doubles until the count turns, which it does below
+    2 min(d) as lambda_min <= min(d).
     Then Newton's steps raise ``lo``, a bisection replaces any step that
     would leave the bracket or fails to halve the step before it, and ``hi``
     comes down to ``lo + n * step``, an upper bound because each of the n
@@ -295,7 +319,6 @@ def _certified_power(d: list, e: list, power: int, delta, prec: int):
     raise :class:`SingularGramError`.
     """
     n = len(d)
-    e2 = [fzero] + [mpf_mul(v, v, prec, _RND) for v in e[:-1]]
     neg, step = _sturm(d, e2, fzero, prec)
     if neg:
         return None, None
@@ -334,6 +357,44 @@ def _certified_power(d: list, e: list, power: int, delta, prec: int):
     raise SingularGramError(f"no convergence after {limit} Sturm counts at {prec} bits")
 
 
+def _toeplitz_blocks(profile, m: int, prec: int) -> tuple[list, list]:
+    """Raw rows of the two half-order blocks of the 1-D grid Gram: A - BJ, then A + BJ.
+
+    The Gram of the n = m + 1 nodes i / m is the symmetric Toeplitz matrix
+    of t_k = profile((k / m) ** 2), with k / m rounded once.  A - BJ has
+    order n // 2 and entries t_|i-j| - t_(n-1-i-j); A + BJ adds them
+    instead and, for odd n, gets the border sqrt(2) t_(n//2-i) and the
+    corner t_0.
+    """
+    n = m + 1
+    t = []
+    for k in range(n):
+        x = mpf_div(from_int(k), from_int(m), prec, _RND)
+        t.append(profile(mpf_mul(x, x, prec, _RND)))
+    half = n // 2
+    pairs = [[(t[abs(i - j)], t[n - 1 - i - j]) for j in range(half)] for i in range(half)]
+    minus = [[mpf_sub(a, b, prec, _RND) for a, b in row] for row in pairs]
+    plus = [[mpf_add(a, b, prec, _RND) for a, b in row] for row in pairs]
+    if n % 2:
+        root2 = mpf_sqrt(from_int(2), prec, _RND)
+        border = [mpf_mul(root2, t[half - i], prec, _RND) for i in range(half)]
+        for row, b in zip(plus, border):
+            row.append(b)
+        plus.append(border + [t[0]])
+    return minus, plus
+
+
+def _lower_first(blocks: list, prec: int) -> list:
+    """The two raw (``d``, ``e2``) tridiagonals, the lower Newton bound from 0 first.
+
+    A block with an eigenvalue at or below 0 at this precision counts as lowest.
+    """
+    (neg0, step0), (neg1, step1) = (_sturm(*block, fzero, prec) for block in blocks)
+    if not neg0 and (neg1 or mpf_lt(step1, step0)):
+        return blocks[::-1]
+    return blocks
+
+
 def grid_lambda_min(kernel: Kernel, m: int, d: int) -> float:
     """Smallest Gram eigenvalue on the uniform grid, via extended precision.
 
@@ -343,16 +404,20 @@ def grid_lambda_min(kernel: Kernel, m: int, d: int) -> float:
     one-dimensional one.  That identity is exact, not an approximation, and
     keeps the mp eigensolve at size m+1 instead of (m+1)^d.
 
-    The 1-D Gram is reduced to tridiagonal form and its smallest eigenvalue
-    bracketed by Sturm counts (see :func:`_certified_power`).  The bracket,
-    widened by delta = ``_DELTA_ULPS`` * (m+1) * 2^-prec * |T| for the
-    rounding of the Gram entries and of the Householder reduction (see the
-    module docstring), must round to one double after the d-th power.
+    The 1-D Gram splits into its two half-order blocks (see
+    :func:`_toeplitz_blocks` and the module docstring), each reduced to
+    tridiagonal form.  The block with the lower Newton bound from 0 has its
+    smallest eigenvalue bracketed by Sturm counts (see
+    :func:`_certified_power`); one Sturm count of the other block at the
+    bracket's lower end shows that it has no eigenvalue below, or else that
+    block is refined too and the smaller double returned.  Each bracket,
+    widened by delta = ``_DELTA_ULPS`` * (m+1) * 2^-prec * |T| with |T| the
+    larger block's norm, must round to one double after the d-th power.
     Otherwise the solve reruns with log2(delta / lambda) + 53 +
-    ``_MARGIN_BITS`` more bits, or at twice the precision while the value
-    is not positive.  A value that needs more than ``_MAX_PREC`` bits, a
-    solve that does not converge, or a power below the double range raises
-    :class:`SingularGramError`.
+    ``_MARGIN_BITS`` more bits for the block that failed, or at twice the
+    precision while its value is not positive.  A value that needs more
+    than ``_MAX_PREC`` bits, a solve that does not converge, or a power
+    below the double range raises :class:`SingularGramError`.
     """
     if not supports_grid(kernel, d):
         raise UnsupportedConfigurationError(
@@ -360,18 +425,26 @@ def grid_lambda_min(kernel: Kernel, m: int, d: int) -> float:
         )
     prec = dps_to_prec(_DPS)
     while True:
-        # node i / m, as mpf(i) / m
-        coords = [(mpf_div(from_int(i), from_int(m), prec, _RND),) for i in range(m + 1)]
-        # grid distances repeat: evaluate the profile once per distinct squared distance
-        diag, off = _tridiagonalize(_gram(cache(_profile(kernel, prec)), coords, prec), prec)
-        # |T| <= its largest Gershgorin row sum
+        profile = _profile(kernel, prec)
+        blocks = [_tridiagonalize(rows, prec) for rows in _toeplitz_blocks(profile, m, prec)]
+        # |K| <= the larger block's largest Gershgorin row sum
         norm = max(
             abs(to_float(a)) + abs(to_float(b)) + abs(to_float(c))
+            for diag, off in blocks
             for a, b, c in zip(diag, [fzero, *off], off)
         )
+        # (d, e2) as _sturm reads them
+        blocks = [
+            (diag, [fzero] + [mpf_mul(v, v, prec, _RND) for v in off[:-1]]) for diag, off in blocks
+        ]
         delta = mpf_shift(from_float(_DELTA_ULPS * (m + 1) * norm), -prec)
+        low, other = _lower_first(blocks, prec)
         try:
-            lam, lo = _certified_power(diag, off, d, delta, prec)
+            lam, lo = _certified_power(*low, d, delta, prec)
+            # no eigenvalue of the other block below lo: lam is the Gram's
+            if lam is not None and _sturm(*other, lo, prec)[0]:
+                lam_other, lo = _certified_power(*other, d, delta, prec)
+                lam = None if lam_other is None else min(lam, lam_other)
         except SingularGramError as exc:
             msg = f"extended-precision 1-D grid eigensolve at m={m}: {exc}"
             raise SingularGramError(msg) from None
@@ -419,15 +492,16 @@ def _cholesky(K: list, prec: int) -> tuple[list, list]:
 
 
 def schur_values(kernel: Kernel, nodes: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Exact Schur complements K(x,x) - k_x^T K^{-1} k_x at many points.
+    """Exact Schur complements K(x,x) - k_x^T K^{-1} k_x at many points off the nodes.
 
     ``nodes`` is the (N, d) node array and ``xs`` the (n, d) evaluation
     array; both are promoted coordinate-by-coordinate to mp floats, which
-    is lossless.  Returns a float64 array of nonnegative values, exactly 0
-    at a node; entries below double-precision resolution round to the
-    nearest representable value rather than to an arbitrary negative
-    residue.  A node Gram that is not positive definite at the working
-    precision raises :class:`SingularGramError`.
+    is lossless.  Returns a float64 array of nonnegative values; entries
+    below double-precision resolution round to the nearest representable
+    value rather than to an arbitrary negative residue.  At a node the
+    value is only the factor's rounding residue.  A node Gram that is not
+    positive definite at the working precision raises
+    :class:`SingularGramError`.
     """
     nodes = np.atleast_2d(np.asarray(nodes, dtype=float)).tolist()
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
@@ -439,12 +513,9 @@ def schur_values(kernel: Kernel, nodes: np.ndarray, xs: np.ndarray) -> np.ndarra
     diag = profile(fzero)
     # K = L L^T at the guard precision, as cholesky_solve factors it
     lower, pivots = _cholesky(_gram(profile, coords, prec), hi)
-    hits = set(map(tuple, nodes))
     out = np.zeros(len(xs))
     for idx, row in enumerate(xs):
-        if (x := tuple(row.tolist())) in hits:
-            continue
-        x = tuple(map(from_float, x))
+        x = tuple(map(from_float, row.tolist()))
         # L z = k by cholesky_solve's forward substitution, at the guard precision
         z = []
         for c, row_l, pivot in zip(coords, lower, pivots):

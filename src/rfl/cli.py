@@ -493,7 +493,9 @@ _HANDLERS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The ``rfl`` parser, built once per process: parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="rfl",
         description="Studies of kernel interpolation and network training on node values.",

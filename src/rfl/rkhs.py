@@ -18,16 +18,17 @@ Factorization uses Cholesky with an escalating diagonal jitter ladder
 used is recorded on the system.  Power-function values are Schur complements
 computed in double precision.  On an unjittered system every value below the
 double-precision noise floor 1e3 * N * eps * K(x,x) is recomputed from exact
-node coordinates in extended precision (see :mod:`rfl._exact`).  That path
+node coordinates in extended precision (see :mod:`rfl._exact`), except at a
+node, where the value is exactly 0 and no extended call is made.  That path
 factors the node Gram once per call and runs the kernel profile and one
 forward substitution per point as raw ``mpmath.libmp`` calls at an explicit
-precision, exact 0 at the nodes.  The sup of the power function is the
-largest of these pointwise values, so :func:`power_function_sup` and
-:func:`power_values` never disagree.  Jittered systems never escalate: their
-Schur complement is an upper bound for the exact one and sits safely above
-the noise.  Spline kernels (sobolev orders other than r in {1, 2}) are only
-accurate to double precision and never escalate either: their entries below
-the floor are raised to the floor.
+precision.  The sup of the power function is the largest of these pointwise
+values, so :func:`power_function_sup` and :func:`power_values` never
+disagree.  Jittered systems never escalate: their Schur complement is an
+upper bound for the exact one and sits safely above the noise.  Spline
+kernels (sobolev orders other than r in {1, 2}) are only accurate to double
+precision and never escalate either: their entries below the floor are
+raised to the floor.
 """
 
 from __future__ import annotations
@@ -197,20 +198,26 @@ def _power_squared(system: GramSystem, X: np.ndarray) -> np.ndarray:
     On an unjittered system each entry below the floor
     ``_SCHUR_FLOOR * N * eps * K(x,x)`` is recomputed in extended precision,
     or raised to the floor for kernels without an extended-precision
-    profile (see :func:`rfl._exact.supports`).  A jittered Schur complement
+    profile (see :func:`rfl._exact.supports`).  A point equal to a node
+    takes its exact 0 here, and a batch whose sub-floor points are all
+    nodes makes no extended-precision call.  A jittered Schur complement
     is already a valid upper bound and is returned as computed.
     """
-    k = system.kernel.pairwise(system.points.points, X)
+    nodes = system.points.points
+    k = system.kernel.pairwise(nodes, X)
     s = system.kernel.diagonal() - np.einsum("ij,ij->j", k, system.solve(k))
     if system.jitter_used == 0.0:
         floor = _SCHUR_FLOOR * len(system) * _EPS * system.kernel.diagonal()
-        low = s < floor
-        if low.any():
-            s[low] = (
-                _exact.schur_values(system.kernel, system.points.points, X[low])
-                if _exact.supports(system.kernel)
-                else floor
-            )
+        low = np.flatnonzero(s < floor)
+        if len(low) and not _exact.supports(system.kernel):
+            s[low] = floor
+        elif len(low):
+            # a point equal to a node has an exact 0 and needs no factor
+            hits = set(map(tuple, nodes.tolist()))
+            hit = np.array([tuple(X[i].tolist()) in hits for i in low], dtype=bool)
+            s[low[hit]] = 0.0
+            if not hit.all():
+                s[low[~hit]] = _exact.schur_values(system.kernel, nodes, X[low[~hit]])
     return np.maximum(s, 0.0)
 
 

@@ -25,10 +25,11 @@ from .rkhs import GramSystem, build_gram
 
 _EPS = float(np.finfo(float).eps)
 
-# largest grid m sent to the extended route; its raw-libmp Householder
-# reduction grows like m^3 (sobolev r=1, d=1, one solve at 169 bits: 0.05 s
-# at m=32, 0.38 s at m=64; gaussian sigma=1, which reruns up to 338 and 676
-# bits: 0.09 s and 0.91 s; best of 3 on a 2-core Xeon)
+# largest grid m sent to the extended route; the raw-libmp Householder
+# reduction of the Gram's two half-order blocks grows like m^3 / 4 (sobolev
+# r=1, d=1, one solve at 169 bits: 0.013 s at m=32, 0.065 s at m=64;
+# gaussian sigma=1, which reruns up to 338 and 676 bits: 0.022 s and 0.24 s;
+# best of 3 on a 2-core Xeon)
 EXTENDED_MAX_M = 64
 
 

@@ -89,6 +89,17 @@ def test_rerun_byte_identical(tmp_path):
     assert read(out / "tables" / "rates.csv") == first_csv
 
 
+def test_commands_in_one_process_share_one_parser(tmp_path):
+    # the parser is built once per process; a run in between leaves it as it was
+    argv = ["eigen", "--kernel", "sobolev", "--r", "1", "--d", "1", "--m-list", "1,2,3"]
+    assert run([*argv, "--out", str(tmp_path / "a")]) == 0
+    assert run(["rates", *GAUSS_FLAGS, "--m-list", "2,4,6,8", "--out", str(tmp_path / "r")]) == 0
+    assert run([*argv, "--out", str(tmp_path / "b")]) == 0
+    table = Path("tables", "eigen.csv")
+    assert (tmp_path / "a" / table).read_bytes() == (tmp_path / "b" / table).read_bytes()
+    assert rfl.cli._build_parser() is rfl.cli._build_parser()
+
+
 def test_threads_do_not_change_tables(tmp_path):
     # perfbench passes --threads 1, the default; it changes no table
     a, b = tmp_path / "a", tmp_path / "b"

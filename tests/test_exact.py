@@ -6,8 +6,10 @@ operator expressions, ``MPContext.cholesky`` for the node factor, and
 ``cholesky_solve`` per point at 50 and at 150 digits for Schur values off
 the nodes.  Grid eigenvalues must be the double of ``eigsy``'s minimum at
 150 digits on the object-level Gram, even where the 50-digit ``eigsy`` lost
-it, and exact rational Sturm counts check that the tridiagonal form keeps
-lambda_min within the rounding bound the solve widens its bracket by.
+it.  The two half-order blocks the solve splits the Toeplitz grid Gram into
+must hold its 150-digit spectrum, and exact rational Sturm counts check that
+their tridiagonal forms keep lambda_min within the rounding bound the solve
+widens its bracket by.
 Threads a caller runs are checked to neither leak a working precision into
 the process-wide mpmath context nor pick one up from each other.
 """
@@ -22,7 +24,7 @@ from functools import cache
 import mpmath
 import numpy as np
 import pytest
-from mpmath.libmp import dps_to_prec, from_float, from_int, mpf_div, to_rational
+from mpmath.libmp import dps_to_prec, from_float, to_rational
 
 from rfl import (
     Kernel,
@@ -117,16 +119,16 @@ SCHUR_CASES = [
 def test_schur_values_bit_identical_to_per_point_solve(kernel, m):
     nodes = uniform_grid(m, kernel.dim).points
     xs = _probe_points(nodes, seed=m)
-    # the nodes, and the near probes that np.clip moved onto the boundary nodes
+    # node hits, the nodes and the near probes that np.clip moved onto the
+    # boundary nodes, are power_values' to answer with an exact 0
     node_set = set(map(tuple, nodes.tolist()))
     on_node = np.array([x in node_set for x in map(tuple, xs.tolist())])
     assert on_node.sum() > len(nodes)
+    xs = xs[~on_node]
     got = _exact.schur_values(kernel, nodes, xs)
-    off = ~on_node
-    assert got[off].tobytes() == _reference_schur(kernel, nodes, xs[off]).tobytes()
-    assert got[off].tobytes() == _reference_schur(kernel, nodes, xs[off], dps=150).tobytes()
-    assert got[on_node].tobytes() == np.zeros(on_node.sum()).tobytes()
-    assert (got[off] > 0.0).all()
+    assert got.tobytes() == _reference_schur(kernel, nodes, xs).tobytes()
+    assert got.tobytes() == _reference_schur(kernel, nodes, xs, dps=150).tobytes()
+    assert (got > 0.0).all()
 
 
 @pytest.mark.parametrize("kernel, m", SCHUR_CASES)
@@ -193,24 +195,87 @@ def _eigenvalues_below(diag, off, mu):
     return count
 
 
+def _blocks_as_rationals(kernel, m, prec):
+    """The block tridiagonals that ``grid_lambda_min`` solves at ``prec`` bits, as rationals."""
+    blocks = _exact._toeplitz_blocks(_exact._profile(kernel, prec), m, prec)
+    return [
+        [[Fraction(*to_rational(v)) for v in part] for part in _exact._tridiagonalize(rows, prec)]
+        for rows in blocks
+    ]
+
+
 @pytest.mark.parametrize("kernel", GRID_KERNELS)
-@pytest.mark.parametrize("m", [8, 16, 32])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 7, 8, 15, 16])
+def test_toeplitz_blocks_hold_the_spectrum_of_the_grid_gram(kernel, m):
+    # odd and even n = m + 1: the two blocks' eigenvalues together are the Gram's
+    ctx = _reference_context(150)
+    prec = dps_to_prec(150)
+    blocks = _exact._toeplitz_blocks(_exact._profile(kernel, prec), m, prec)
+    assert [len(rows) for rows in blocks] == [(m + 1) // 2, (m + 2) // 2]
+    matrices = [ctx.matrix([list(map(ctx.make_mpf, row)) for row in rows]) for rows in blocks]
+    got = sorted(v for A in matrices for v in ctx.eigsy(A, eigvals_only=True))
+    coords = [(ctx.mpf(i) / m,) for i in range(m + 1)]
+    want = sorted(ctx.eigsy(_reference_gram(ctx, kernel, coords), eigvals_only=True))
+    tol = ctx.mpf(10) ** -140 * max(abs(v) for v in want)
+    assert all(abs(a - b) <= tol for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("kernel", GRID_KERNELS)
+@pytest.mark.parametrize("m", [8, 9, 16, 32])
 def test_tridiagonal_form_keeps_lambda_min_within_delta(kernel, m):
-    # grid_lambda_min widens its bracket by _DELTA_ULPS n u |T| (u = 2^-prec)
-    # for the rounding of the Gram and its reduction; lambda_min(T) must sit
-    # well inside that, here within 2 n u |T| of the 150-digit eigenvalue
+    # grid_lambda_min widens its bracket by _DELTA_ULPS n u |T| (u = 2^-prec,
+    # |T| the larger block's norm) for the rounding of the Toeplitz entries,
+    # the blocks and their reduction; the smaller block minimum must sit well
+    # inside that, here within 2 n u |T| of the 150-digit eigenvalue
     want = Fraction(*to_rational(_reference_grid_lambda_min(kernel, m)._mpf_))
     n = m + 1
     for prec in (dps_to_prec(50), 2 * dps_to_prec(50)):
-        coords = [(mpf_div(from_int(i), from_int(m), prec, "n"),) for i in range(n)]
-        gram = _exact._gram(_exact._profile(kernel, prec), coords, prec)
-        diag, off = (
-            [Fraction(*to_rational(v)) for v in part] for part in _exact._tridiagonalize(gram, prec)
+        blocks = _blocks_as_rationals(kernel, m, prec)
+        norm = max(
+            abs(a) + abs(b) + abs(c)
+            for diag, off in blocks
+            for a, b, c in zip(diag, [0, *off], off)
         )
-        norm = max(abs(a) + abs(b) + abs(c) for a, b, c in zip(diag, [0, *off], off))
         bound = Fraction(2 * n, 2**prec) * norm
-        assert _eigenvalues_below(diag, off, want - bound) == 0
-        assert _eigenvalues_below(diag, off, want + bound) >= 1
+        assert sum(_eigenvalues_below(diag, off, want - bound) for diag, off in blocks) == 0
+        assert sum(_eigenvalues_below(diag, off, want + bound) for diag, off in blocks) >= 1
+
+
+@pytest.mark.parametrize("kernel", GRID_KERNELS)
+def test_grid_lambda_min_refines_the_other_block_when_its_count_turns(kernel, monkeypatch):
+    # taken in the wrong order, the first block's bracket lies above the other
+    # block's minimum: the Sturm count there turns and the other is refined too
+    ms = [1, 2, 5, 8, 13]
+    want = [_exact.grid_lambda_min(kernel, m, 1).hex() for m in ms]
+    lower_first = _exact._lower_first
+    monkeypatch.setattr(_exact, "_lower_first", lambda *args: lower_first(*args)[::-1])
+    certified, calls = _exact._certified_power, []
+
+    def counting(*args):
+        calls.append(args)
+        return certified(*args)
+
+    monkeypatch.setattr(_exact, "_certified_power", counting)
+    for m, lam in zip(ms, want):
+        calls.clear()
+        assert _exact.grid_lambda_min(kernel, m, 1).hex() == lam
+        # the last pass, at one precision, refines both blocks
+        (*_, prec_a), (*_, prec_b) = calls[-2:]
+        assert prec_a == prec_b
+
+
+@pytest.mark.parametrize("sigma", [1e3, 1e5])
+@pytest.mark.parametrize("d", [1, 2])
+def test_flat_gaussian_grid_lambda_min_is_the_800_digit_double(sigma, d):
+    # the antisymmetric block's norm is far below |K| here, while the Toeplitz
+    # entries are rounded to u |K|: a delta from that block's own norm would
+    # certify a wrong double (0x1.097c2c8854c6ep-124 at sigma=1e3, d=1)
+    kernel = Kernel("gaussian", sigma=sigma, dim=d)
+    want = float(_reference_grid_lambda_min(kernel, 5, dps=800) ** d)
+    got = _exact.grid_lambda_min(kernel, 5, d)
+    assert got.hex() == want.hex()
+    if (sigma, d) == (1e3, 1):
+        assert got.hex() == "0x1.097c2c8854c0dp-124"
 
 
 @pytest.mark.parametrize(

@@ -206,6 +206,43 @@ def test_power_function_vanishes_at_nodes():
         assert vals.max() <= 1e-6
 
 
+@pytest.mark.parametrize(
+    "kernel, m, escalated",
+    [
+        # the 16x finer 1-D grid holds every node; at m=8, 120 more points are below the floor
+        (GAUSS, 4, []),
+        (GAUSS, 8, [120]),
+        # the first of 4096 Halton points is the node (0, 0)
+        (Kernel("gaussian", sigma=0.05, dim=2), 4, []),
+    ],
+)
+def test_power_values_at_node_hits_skip_the_extended_factor(kernel, m, escalated, monkeypatch):
+    grid = uniform_grid(m, kernel.dim)
+    system = build_gram(kernel, grid)
+    X = default_power_eval_set(grid).points
+    schur_values, calls = rfl.rkhs._exact.schur_values, []
+
+    def counting(kernel, nodes, xs):
+        calls.append(len(xs))
+        return schur_values(kernel, nodes, xs)
+
+    monkeypatch.setattr(rfl.rkhs._exact, "schur_values", counting)
+    got = power_values(system, X)
+    assert calls == escalated
+    # the same bits as before node hits skipped the factor: every sub-floor
+    # point escalated, and an exact 0 at each node among them
+    k = kernel.pairwise(grid.points, X)
+    s = kernel.diagonal() - np.einsum("ij,ij->j", k, system.solve(k))
+    low = s < rfl.rkhs._SCHUR_FLOOR * len(system) * EPS * kernel.diagonal()
+    nodes = set(map(tuple, grid.points.tolist()))
+    hit = low & np.array([x in nodes for x in map(tuple, X.tolist())])
+    assert hit.sum() >= 1
+    s[hit] = 0.0
+    if escalated:
+        s[low & ~hit] = schur_values(kernel, grid.points, X[low & ~hit])
+    assert got.tobytes() == np.sqrt(np.maximum(s, 0.0)).tobytes()
+
+
 def test_power_bounds_interpolation_error():
     # |f(x) - Pf(x)| <= ||f|| P(x) on a dense grid
     grid = uniform_grid(512, 1)
