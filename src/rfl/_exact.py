@@ -4,8 +4,7 @@ Flat kernels on fine grids produce Gram matrices whose smallest eigenvalue
 and near-node Schur complements sit far below the double-precision noise
 floor; the rounded matrix itself can even be indefinite while the true one
 is positive definite.  The routines here rebuild the few affected scalars
-from exact node coordinates with mpmath, for kernels whose profile has a
-closed form here (see :func:`supports` and :func:`supports_grid`).
+from exact node coordinates with mpmath (grids: see :func:`supports_grid`).
 :mod:`rkhs` escalates Schur values after measuring a double-precision
 attempt against its noise floor; :mod:`spectral` takes grid eigenvalues
 from here directly.
@@ -20,7 +19,10 @@ wrapper, context lookup and allocation costs.  The precision is an
 argument of every helper.  The one departure in form is ``e ** y``:
 mpf_pow takes ``log e`` afresh for every exponent that is not a
 half-integer, and here it is taken once per call at the same precision,
-which gives the same bits.
+which gives the same bits.  The Matern profile of the sobolev orders other
+than 1 and 2 is not replayed from raw libmp: it is the one profile that
+evaluates its operator expression, with mpmath's ``besselk``, on an
+``MPContext`` of its own set to the working precision.
 
 The grid eigensolve never forms the 1-D Gram.  On the uniform grid it is
 the symmetric Toeplitz matrix of t_k = phi((k / m)^2), k = 0..m, so it is
@@ -62,14 +64,16 @@ larger of the two blocks' Gershgorin norms, which bounds |K|, for both
 blocks.  A block's own norm would not do: for a flat kernel A - BJ
 cancels to a norm far below |K| while its entries keep the u |K| rounding
 of the t_k (gaussian sigma = 1e3 at m = 5 would certify a wrong double).
-The constant is measured: over the seven kernels of the tests at m in
+The constant is measured: over the nine kernels of the tests at m in
 {4, 8, 12, 16, 24, 32}, |lambda_min(T) - lambda_150| is at most
-0.54 n u |T| at 169 bits and 0.29 at 338 bits.
+0.58 n u |T| at 169 bits and 0.61 at 338 bits (both sobolev r = 1.25,
+whose ``besselk`` carries guard bits of its own).
 
-libmp functions read no context state, so nothing here reads or writes the
-process-wide ``mpmath.mp`` precision and concurrent callers cannot change
-each other's working precision.  Everything here is deterministic and
-dependency-free apart from mpmath itself.
+libmp functions read no context state and each Matern profile builds its
+own context, so nothing here reads or writes the process-wide ``mpmath.mp``
+precision and concurrent callers cannot change each other's working
+precision.  Everything here is deterministic and dependency-free apart
+from mpmath itself.
 
 :func:`schur_values` factors the node Gram K = L L^T once per call as
 ``MPContext.cholesky`` does, 10 guard bits up, and per point returns
@@ -84,6 +88,7 @@ from __future__ import annotations
 
 from functools import cache
 
+import mpmath
 import numpy as np
 from mpmath.libmp import (
     MPZ_ONE,
@@ -116,7 +121,7 @@ from mpmath.libmp import (
 )
 
 from .errors import SingularGramError, UnsupportedConfigurationError
-from .kernels import GAUSSIAN, INVERSE_MULTIQUADRIC, SOBOLEV, Kernel
+from .kernels import GAUSSIAN, INVERSE_MULTIQUADRIC, Kernel
 
 _DPS = 50
 # guard bits that mpmath's cholesky_solve adds for its factor and solves
@@ -126,8 +131,8 @@ _RND = "n"
 # Sturm counts allowed to refine one grid eigenvalue, per bit of working precision
 _STEPS_PER_BIT = 2
 # bound on the rounding of the grid Gram's blocks and their tridiagonal
-# reduction, in units of 2^-prec |T| per row of the Gram (the supported
-# kernels at m <= 32 and 169 or 338 bits stay below 0.54; tests/test_exact.py
+# reduction, in units of 2^-prec |T| per row of the Gram (the test kernels
+# at m <= 32 and 169 or 338 bits stay below 0.61; tests/test_exact.py
 # holds 2)
 _DELTA_ULPS = 64
 # bits kept past a double's 53 when a grid eigensolve reruns
@@ -136,19 +141,9 @@ _MARGIN_BITS = 32
 _MAX_PREC = 8 * dps_to_prec(_DPS)
 
 
-def supports(kernel: Kernel) -> bool:
-    """Whether the kernel's profile has an extended-precision form here.
-
-    Sobolev orders other than r in {1, 2} are evaluated through a spline
-    of a quadrature table, which is only accurate to double precision; no
-    extended-precision recomputation of such a kernel can be meaningful.
-    """
-    return kernel.family != SOBOLEV or kernel.r in (1, 2)
-
-
 def supports_grid(kernel: Kernel, d: int) -> bool:
     """Whether :func:`grid_lambda_min` covers the grid: gaussian in any d, the rest in d = 1."""
-    return kernel.family == GAUSSIAN or (d == 1 and supports(kernel))
+    return kernel.family == GAUSSIAN or d == 1
 
 
 def _sq_dist(a, b, prec: int):
@@ -208,9 +203,21 @@ def _profile(kernel: Kernel, prec: int):
             return mpf_mul(rise, e_pow(mpf_mul(minus_two_pi, x, prec, _RND)), prec, _RND)
 
         return sobolev2
-    raise UnsupportedConfigurationError(
-        "extended-precision fallback only covers sobolev orders r in {1, 2}"
-    )
+    # 2 * pi ** r / gamma(r) * x ** nu * besselk(nu, 2 * pi * x) with x = sqrt(s2),
+    # nu = r - 1/2 (the Matern form), on a context of this call's own
+    ctx = mpmath.MPContext()
+    ctx.prec = prec
+    r = ctx.mpf(kernel.r)
+    nu, scale = r - 0.5, 2 * ctx.pi**r / ctx.gamma(r)
+    zero = (ctx.sqrt(ctx.pi) * ctx.gamma(nu) / ctx.gamma(r))._mpf_
+
+    def matern(s2):
+        if s2 == fzero:
+            return zero
+        x = ctx.sqrt(ctx.make_mpf(s2))
+        return (scale * x**nu * ctx.besselk(nu, 2 * ctx.pi * x))._mpf_
+
+    return matern
 
 
 def _gram(profile, coords, prec: int) -> list:

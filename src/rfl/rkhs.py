@@ -25,10 +25,7 @@ forward substitution per point as raw ``mpmath.libmp`` calls at an explicit
 precision.  The sup of the power function is the largest of these pointwise
 values, so :func:`power_function_sup` and :func:`power_values` never
 disagree.  Jittered systems never escalate: their Schur complement is an
-upper bound for the exact one and sits safely above the noise.  Spline
-kernels (sobolev orders other than r in {1, 2}) are only accurate to double
-precision and never escalate either: their entries below the floor are
-raised to the floor.
+upper bound for the exact one and sits safely above the noise.
 """
 
 from __future__ import annotations
@@ -196,9 +193,8 @@ def _power_squared(system: GramSystem, X: np.ndarray) -> np.ndarray:
     """Schur complements K(x,x) - k_x^T (gram + jitter)^{-1} k_x on a batch.
 
     On an unjittered system each entry below the floor
-    ``_SCHUR_FLOOR * N * eps * K(x,x)`` is recomputed in extended precision,
-    or raised to the floor for kernels without an extended-precision
-    profile (see :func:`rfl._exact.supports`).  A point equal to a node
+    ``_SCHUR_FLOOR * N * eps * K(x,x)`` is recomputed in extended precision
+    (see :func:`rfl._exact.schur_values`).  A point equal to a node
     takes its exact 0 here, and a batch whose sub-floor points are all
     nodes makes no extended-precision call.  A jittered Schur complement
     is already a valid upper bound and is returned as computed.
@@ -209,9 +205,7 @@ def _power_squared(system: GramSystem, X: np.ndarray) -> np.ndarray:
     if system.jitter_used == 0.0:
         floor = _SCHUR_FLOOR * len(system) * _EPS * system.kernel.diagonal()
         low = np.flatnonzero(s < floor)
-        if len(low) and not _exact.supports(system.kernel):
-            s[low] = floor
-        elif len(low):
+        if len(low):
             # a point equal to a node has an exact 0 and needs no factor
             hits = set(map(tuple, nodes.tolist()))
             hit = np.array([tuple(X[i].tolist()) in hits for i in low], dtype=bool)

@@ -1,12 +1,12 @@
 """Smallest Gram eigenvalues, the spectral lower bound, and growth constants.
 
-Grid eigenvalues take the extended-precision route wherever
-:mod:`rfl._exact` has one (see :func:`rfl._exact.supports_grid`): the
-smallest eigenvalue is rebuilt from exact node coordinates, so flat
-kernels whose rounded Gram matrix is indefinite in double precision still
-get their true value.  Every other node set, and grids past
-``EXTENDED_MAX_M``, use LAPACK's symmetric eigensolver and refuse a value
-that does not clear the noise floor of the rounded matrix.
+Grid eigenvalues of every kernel on the line and of gaussian kernels in
+any dimension (see :func:`rfl._exact.supports_grid`) are rebuilt from
+exact node coordinates in extended precision, so flat kernels whose
+rounded Gram matrix is indefinite in double precision still get their
+true value.  Every other node set, and grids past ``EXTENDED_MAX_M``, use
+LAPACK's symmetric eigensolver and refuse a value that does not clear the
+noise floor of the rounded matrix.
 """
 
 from __future__ import annotations

@@ -741,6 +741,12 @@ def test_non_finite_kernel_parameter_exits_2(argv, file_cfg, tmp_path):
     assert run([*_fill(argv, tmp_path), "--out", str(tmp_path / "o")]) == 2
 
 
+def test_sobolev_order_past_the_cap_exits_2(tmp_path):
+    # r = 200 exited 1 with an OverflowError from math.gamma
+    argv = ["eigen", "--kernel", "sobolev", "--r", "200", "--d", "1", "--m-list", "2,3"]
+    assert run([*argv, "--out", str(tmp_path / "o")]) == 2
+
+
 def test_flag_into_a_config_value_that_is_not_an_object_exits_2(tmp_path, monkeypatch):
     (tmp_path / "cfg.json").write_text(json.dumps({"kernel": 5, "m_list": [2, 4, 6, 8]}))
     argv = ["rates", "--config", str(tmp_path / "cfg.json"), "--sigma", "1"]

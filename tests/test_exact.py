@@ -56,18 +56,28 @@ def _reference_profile(ctx, kernel, s2):
         return (ctx.mpf(kernel.sigma) ** 2 + s2) ** (-ctx.mpf(kernel.beta))
     if kernel.r == 1:
         return ctx.pi * ctx.e ** (-2 * ctx.pi * ctx.sqrt(s2))
-    assert kernel.r == 2
+    if kernel.r == 2:
+        x = ctx.sqrt(s2)
+        return (ctx.pi / 2) * (1 + 2 * ctx.pi * x) * ctx.e ** (-2 * ctx.pi * x)
+    # the Matern form, and its limit at s2 = 0
+    r = ctx.mpf(kernel.r)
+    nu = r - 0.5
+    if s2 == 0:
+        return ctx.sqrt(ctx.pi) * ctx.gamma(nu) / ctx.gamma(r)
     x = ctx.sqrt(s2)
-    return (ctx.pi / 2) * (1 + 2 * ctx.pi * x) * ctx.e ** (-2 * ctx.pi * x)
+    return 2 * ctx.pi**r / ctx.gamma(r) * x**nu * ctx.besselk(nu, 2 * ctx.pi * x)
 
 
 def _reference_gram(ctx, kernel, coords):
     n = len(coords)
     K = ctx.matrix(n, n)
+    values = {}  # grids repeat squared distances
     for i in range(n):
         for j in range(i, n):
             s2 = sum((a - b) ** 2 for a, b in zip(coords[i], coords[j]))
-            K[i, j] = K[j, i] = _reference_profile(ctx, kernel, s2)
+            if s2 not in values:
+                values[s2] = _reference_profile(ctx, kernel, s2)
+            K[i, j] = K[j, i] = values[s2]
     return K
 
 
@@ -109,6 +119,8 @@ SCHUR_CASES = [
     (Kernel("gaussian", sigma=1.0, dim=2), 3),
     (Kernel("sobolev", r=1.0, dim=1), 8),
     (Kernel("sobolev", r=2.0, dim=1), 8),
+    (Kernel("sobolev", r=1.25, dim=1), 8),
+    (Kernel("sobolev", r=2.75, dim=1), 8),
     (Kernel("inverse_multiquadric", sigma=1.0, beta=1.0, dim=1), 8),
     # a non-integer exponent takes mpf_pow's exp-log route
     (Kernel("inverse_multiquadric", sigma=0.7, beta=0.6, dim=1), 8),
@@ -171,6 +183,8 @@ GRID_KERNELS = [
     Kernel("inverse_multiquadric", sigma=0.7, beta=0.6, dim=1),
     Kernel("sobolev", r=1.0, dim=1),
     Kernel("sobolev", r=2.0, dim=1),
+    Kernel("sobolev", r=1.25, dim=1),
+    Kernel("sobolev", r=2.75, dim=1),
 ]
 
 
@@ -343,26 +357,28 @@ def test_grid_lambda_min_agrees_with_eigvalsh(kernel):
 
 
 def test_threads_keep_global_precision_and_values():
-    ms = list(range(8, 13))
+    # the Matern profile runs besselk on an MPContext of its own
+    kernels = (GAUSS, Kernel("sobolev", r=1.25, dim=1))
+    kms = [(kernel, m) for kernel in kernels for m in range(8, 13)]
     nodes = uniform_grid(8, 1).points
     xs = _probe_points(nodes, seed=1)
-    serial_lams = [_exact.grid_lambda_min(GAUSS, m, 1).hex() for m in ms]
-    serial_schur = _exact.schur_values(GAUSS, nodes, xs).tobytes()
+    serial_lams = [_exact.grid_lambda_min(kernel, m, 1).hex() for kernel, m in kms]
+    serial_schur = [_exact.schur_values(kernel, nodes, xs).tobytes() for kernel in kernels]
     assert mpmath.mp.dps == 15
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         with ThreadPoolExecutor(max_workers=2) as pool:
-            lams = [pool.submit(_exact.grid_lambda_min, GAUSS, m, 1) for m in ms * 2]
-            schurs = [pool.submit(_exact.schur_values, GAUSS, nodes, xs) for _ in range(2)]
+            lams = [pool.submit(_exact.grid_lambda_min, kernel, m, 1) for kernel, m in kms * 2]
+            schurs = [pool.submit(_exact.schur_values, kernel, nodes, xs) for kernel in kernels * 2]
             threaded_lams = [f.result(timeout=120).hex() for f in lams]
             threaded_schur = [f.result(timeout=120).tobytes() for f in schurs]
     finally:
         sys.setswitchinterval(interval)
     assert mpmath.mp.dps == 15
     assert threaded_lams == serial_lams * 2
-    assert threaded_schur == [serial_schur] * 2
+    assert threaded_schur == serial_schur * 2
 
 
 def test_rate_study_power_with_escalation_keeps_global_precision():
@@ -377,22 +393,13 @@ def test_rate_study_power_with_escalation_keeps_global_precision():
         assert sup == float(np.sqrt(exact.max()))
 
 
-def test_supports():
-    assert _exact.supports(GAUSS)
-    assert _exact.supports(Kernel("inverse_multiquadric", sigma=1.0, beta=2.0, dim=1))
-    assert _exact.supports(Kernel("sobolev", r=1.0, dim=1))
-    assert _exact.supports(Kernel("sobolev", r=2.0, dim=1))
-    assert not _exact.supports(Kernel("sobolev", r=1.25, dim=1))
-    assert not _exact.supports(Kernel("sobolev", r=2.75, dim=1))
-
-
 def test_supports_grid():
     imq = Kernel("inverse_multiquadric", sigma=1.0, beta=2.0, dim=1)
     for d in (1, 2, 3):
         assert _exact.supports_grid(Kernel("gaussian", sigma=0.5, dim=d), d)
     assert _exact.supports_grid(imq, 1)
     assert _exact.supports_grid(Kernel("sobolev", r=2.0, dim=1), 1)
-    assert not _exact.supports_grid(Kernel("sobolev", r=1.25, dim=1), 1)
+    assert _exact.supports_grid(Kernel("sobolev", r=1.25, dim=1), 1)
     imq2 = Kernel("inverse_multiquadric", sigma=1.0, beta=2.0, dim=2)
     assert not _exact.supports_grid(imq2, 2)
     with pytest.raises(UnsupportedConfigurationError):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, special
@@ -21,6 +22,7 @@ from rfl import (
     UnsupportedConfigurationError,
     m_d_constant,
 )
+from rfl.kernels import SOBOLEV_MAX_R
 
 RNG_SEED = 1234
 
@@ -84,9 +86,8 @@ def test_sobolev_closed_forms_frozen():
 
 
 def test_sobolev_generic_r_matches_bessel():
-    # Matern closed form (2 pi^r / Gamma(r)) x^{r-1/2} K_{r-1/2}(2 pi x) is an
-    # independent route; the implementation tabulates a cosine-weighted
-    # integral instead.
+    # Matern closed form (2 pi^r / Gamma(r)) x^{r-1/2} K_{r-1/2}(2 pi x), in
+    # scipy's gamma and this expression's own order of operations
     r = 1.7
     k = Kernel("sobolev", r=r, dim=1)
     for x in (0.05, 0.1, 0.3, 0.55, 0.9):
@@ -99,6 +100,26 @@ def test_sobolev_generic_r_matches_bessel():
         assert got == pytest.approx(float(oracle), abs=1e-8)
     zero = math.sqrt(math.pi) * special.gamma(r - 0.5) / special.gamma(r)
     assert kval(k, np.array([0.0]), np.array([0.0])) == pytest.approx(zero, rel=1e-12)
+
+
+def _matern_50_digits(r: float, xs: np.ndarray) -> list:
+    """The sobolev profile by mpmath's besselk at 50 digits, with its limit at x = 0."""
+    ctx = mpmath.MPContext()
+    ctx.dps = 50
+    r = ctx.mpf(r)
+    nu, scale = r - 0.5, 2 * ctx.pi**r / ctx.gamma(r)
+    zero = ctx.sqrt(ctx.pi) * ctx.gamma(nu) / ctx.gamma(r)
+    return [scale * x**nu * ctx.besselk(nu, 2 * ctx.pi * x) if x else zero for x in map(ctx.mpf, xs)]
+
+
+@pytest.mark.parametrize("r", [0.6, 1.25, 1.75, 2.75, 3.3, 10.2, 20.2, SOBOLEV_MAX_R])
+def test_sobolev_profile_matches_50_digit_besselk(r):
+    # the spline these orders used read 0.00689 for 0.40188 at r = 20.2, x = 1e-3;
+    # at 0 and where K_nu overflows the profile takes its value at 0
+    xs = np.concatenate([[0.0, 5e-324, 1e-300, 1e-12, 1e-6, 1e-3], np.arange(1, 1001) / 1000])
+    got = Kernel("sobolev", r=r, dim=1).pairwise(np.zeros((1, 1)), xs[:, None])[0]
+    for x, value, want in zip(xs, got, _matern_50_digits(r, xs)):
+        assert abs(value - want) <= 1e-13 * want, (x, value)
 
 
 def test_sobolev_generic_r_frozen_spot():
@@ -157,7 +178,12 @@ def _textbook_pairwise(k: Kernel, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         return math.pi * np.exp(-2.0 * math.pi * x)
     if k.r == 2:
         return (math.pi / 2.0) * (1.0 + 2.0 * math.pi * x) * np.exp(-2.0 * math.pi * x)
-    return np.asarray(rfl.kernels._sobolev_profile_table(float(k.r))(np.clip(x, 0.0, 1.0)))
+    # the Matern form, and its value at 0 where kv(nu, 0) = inf meets 0^nu
+    with np.errstate(invalid="ignore"):
+        value = special.kv(k.r - 0.5, 2.0 * math.pi * x) * x ** (k.r - 0.5)
+    value = value * (2.0 * math.pi**k.r / math.gamma(k.r))
+    zero = math.sqrt(math.pi) * math.gamma(k.r - 0.5) / math.gamma(k.r)
+    return np.where(np.isfinite(value), value, zero)
 
 
 _BYTE_PIN_KERNELS = [
@@ -225,6 +251,11 @@ def test_kernel_validation():
     with pytest.raises(ArgumentError):
         Kernel("sobolev", r=2.5, dim=1)
     assert Kernel("sobolev", r=2.0, dim=1).r == 2.0
+    # r = 200 crashed in math.gamma; orders past the cap lose digits
+    assert Kernel("sobolev", r=SOBOLEV_MAX_R, dim=1).r == SOBOLEV_MAX_R
+    for r in (math.nextafter(SOBOLEV_MAX_R, math.inf), 200.0):
+        with pytest.raises(ArgumentError, match="exceeds"):
+            Kernel("sobolev", r=r, dim=1)
 
 
 @pytest.mark.parametrize(

@@ -17,7 +17,8 @@ from pathlib import Path
 import rfl
 
 # SciPy subpackages that would about double the import time of rfl; only
-# halton_points, rate_study_power and spline-order sobolev kernels load them
+# halton_points, rate_study_power and sobolev kernels of orders other than
+# 1 and 2 load them
 _DEFERRED_SCIPY = (
     "scipy.stats",
     "scipy.integrate",

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -360,13 +361,13 @@ def test_gram_system_is_frozen():
 
 
 @pytest.mark.parametrize("r", [1.25, 2.75])
-def test_spline_sobolev_power_values_do_not_escalate(r):
-    # orders outside {1, 2} use the spline profile, which has no
-    # extended-precision form: sub-floor entries are raised to the floor
+def test_matern_power_values_are_exactly_zero_at_the_nodes(r):
+    # orders outside {1, 2} had a spline profile with no extended-precision
+    # form, and their sub-floor values, nodes included, were raised to the floor
     kernel = Kernel("sobolev", r=r, dim=1)
     system = build_gram(kernel, uniform_grid(8, 1))
-    at_nodes = power_values(system, system.points)
-    assert np.isfinite(at_nodes).all() and (at_nodes > 0.0).all()
+    assert system.jitter_used == 0.0
+    assert power_values(system, system.points).tobytes() == np.zeros(len(system)).tobytes()
     X = np.clip(
         np.concatenate([system.points.points[:, 0] + 1e-7, (np.arange(512) + 0.5) / 512]), 0.0, 1.0
     )[:, None]
@@ -377,7 +378,43 @@ def test_spline_sobolev_power_values_do_not_escalate(r):
         f = sample_unit_ball(kernel, 10, 1.0, seed=seed)
         pf = project(system, f.eval_at(system.points.points))
         err = np.abs(f.eval_at(X) - pf.eval_at(X))
-        assert (err <= rkhs_norm(f) * pvals * (1.0 + 1e-6)).all()
+        # plus the rounding of the two evaluations, all there is at the node x = 1
+        slack = 1e2 * EPS * kernel.diagonal() * (np.abs(f.coeffs).sum() + np.abs(pf.coeffs).sum())
+        assert (err <= rkhs_norm(f) * pvals * (1.0 + 1e-6) + slack).all()
+
+
+def _matern_power_60_digits(kernel, nodes, xs):
+    """Power function values K(x,x) - |L^-1 k_x|^2 with K = L L^T, at 60 digits."""
+    ctx = mpmath.MPContext()
+    ctx.dps = 60
+    r = ctx.mpf(kernel.r)
+    nu, scale = r - 0.5, 2 * ctx.pi**r / ctx.gamma(r)
+    zero = ctx.sqrt(ctx.pi) * ctx.gamma(nu) / ctx.gamma(r)
+
+    def phi(a, b):
+        x = abs(ctx.mpf(a) - ctx.mpf(b))
+        return scale * x**nu * ctx.besselk(nu, 2 * ctx.pi * x) if x else zero
+
+    L = ctx.cholesky(ctx.matrix([[phi(a, b) for b in nodes] for a in nodes]))
+    out = []
+    for x in xs:
+        z = []
+        for i, a in enumerate(nodes):
+            z.append((phi(a, x) - sum(L[i, j] * z[j] for j in range(i))) / L[i, i])
+        out.append(float(ctx.sqrt(zero - sum(v * v for v in z))))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("m", [8, 16])
+def test_matern_power_values_match_60_digits(m):
+    # the spline profile put these off by 3.9e-10 (m = 8) and 1.7e-9 (m = 16)
+    kernel = Kernel("sobolev", r=1.25, dim=1)
+    grid = uniform_grid(m, 1)
+    X = default_power_eval_set(grid).points[::7]
+    X = X[~np.isin(X[:, 0], grid.points[:, 0])]
+    got = power_values(build_gram(kernel, grid), X)
+    want = _matern_power_60_digits(kernel, grid.points[:, 0], X[:, 0])
+    assert np.abs(got - want).max() <= 1e-12 * want.min()
 
 
 def kernel_id(kernel):

@@ -176,7 +176,7 @@ def test_lambda_min_accurate_double_route():
         "eigvalsh",
     )
     for kernel, grid in (
-        (Kernel("sobolev", r=1.25, dim=1), uniform_grid(8, 1)),
+        (Kernel("sobolev", r=1.25, dim=1), halton_points(40, 1)),
         (Kernel("inverse_multiquadric", sigma=1.0, beta=1.0, dim=2), uniform_grid(4, 2)),
     ):
         lam, method = lambda_min_accurate(kernel, grid, build_gram(kernel, grid).gram)
