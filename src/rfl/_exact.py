@@ -141,9 +141,9 @@ _MARGIN_BITS = 32
 _MAX_PREC = 8 * dps_to_prec(_DPS)
 
 
-def supports_grid(kernel: Kernel, d: int) -> bool:
-    """Whether :func:`grid_lambda_min` covers the grid: gaussian in any d, the rest in d = 1."""
-    return kernel.family == GAUSSIAN or d == 1
+def supports_grid(kernel: Kernel) -> bool:
+    """Whether :func:`grid_lambda_min` covers the kernel: gaussian in any d, the rest in d = 1."""
+    return kernel.family == GAUSSIAN or kernel.dim == 1
 
 
 def _sq_dist(a, b, prec: int):
@@ -402,8 +402,8 @@ def _lower_first(blocks: list, prec: int) -> list:
     return blocks
 
 
-def grid_lambda_min(kernel: Kernel, m: int, d: int) -> float:
-    """Smallest Gram eigenvalue on the uniform grid, via extended precision.
+def grid_lambda_min(kernel: Kernel, m: int) -> float:
+    """Smallest Gram eigenvalue on the uniform grid in ``kernel.dim``, via extended precision.
 
     For the gaussian family the grid Gram factors as the d-fold Kronecker
     power of the one-dimensional Gram (a product kernel on a full lattice),
@@ -426,10 +426,11 @@ def grid_lambda_min(kernel: Kernel, m: int, d: int) -> float:
     than ``_MAX_PREC`` bits, a solve that does not converge, or a power
     below the double range raises :class:`SingularGramError`.
     """
-    if not supports_grid(kernel, d):
+    if not supports_grid(kernel):
         raise UnsupportedConfigurationError(
-            f"no extended-precision grid eigenvalue for {kernel.family} in d={d}"
+            f"no extended-precision grid eigenvalue for {kernel.family} in d={kernel.dim}"
         )
+    d = kernel.dim
     prec = dps_to_prec(_DPS)
     while True:
         profile = _profile(kernel, prec)

@@ -194,8 +194,6 @@ def _command_schema(keys: tuple) -> dict:
 
 
 _COMMAND_SCHEMAS = {command: _command_schema(keys) for command, (_, keys) in _COMMANDS.items()}
-# eigen's --d sets both kernel.dim and this top-level d (see _merge_config)
-_COMMAND_SCHEMAS["eigen"]["properties"]["d"] = _POS_INT
 _COMMAND_SCHEMAS["rates"]["properties"]["m_list"] = {**_M_LIST, "minItems": 4}
 
 
@@ -223,8 +221,6 @@ def _merge_config(args: argparse.Namespace) -> dict:
                 raise ConfigError(f"invalid {args.command} config at {outer}: not an object")
             where = cfg[outer] = dict(nested)
         where[name] = getattr(args, key)
-    if args.command == "eigen" and hasattr(args, "kernel.dim"):
-        cfg["d"] = cfg["kernel"]["dim"]
     return cfg
 
 
@@ -261,6 +257,8 @@ def _kernel_from(cfg: dict) -> Kernel:
 
 def _train_config(cfg: dict) -> TrainConfig:
     kwargs = {f.name: cfg[f.name] for f in dataclasses.fields(TrainConfig) if f.name in cfg}
+    # the schema passes a config file's 3.0 as an integer
+    kwargs.update({k: int(v) for k, v in kwargs.items() if k in ("epochs", "batch_size", "seed")})
     if "widths" in cfg:
         kwargs["widths"] = tuple(int(w) for w in cfg["widths"])
     return TrainConfig(**kwargs)
@@ -371,7 +369,7 @@ def _cmd_rates(cfg: dict):
 def _cmd_eigen(cfg: dict):
     kernel = _kernel_from(cfg)
     m_list = _require(cfg, "m_list")
-    study = rate_study_eigen(kernel, m_list, cfg.get("d"))
+    study = rate_study_eigen(kernel, m_list)
     payload = {"command": "eigen", "config": cfg, "study": study.to_json()}
     tables = {"eigen": study.table()}
     ms = [float(r.m) for r in study.reports]

@@ -321,12 +321,11 @@ class EigenRateStudy(Report):
         return header, rows
 
 
-def rate_study_eigen(kernel: Kernel, m_list, d: int | None = None) -> EigenRateStudy:
-    """Smallest eigenvalue against the spectral bound for each grid size."""
-    d = _count(kernel.dim if d is None else d, "d")
+def rate_study_eigen(kernel: Kernel, m_list) -> EigenRateStudy:
+    """Smallest eigenvalue against the spectral bound for each grid size, in ``kernel.dim``."""
     m_list = [_count(m, "m") for m in m_list]
-    reports = [check_eigen_lower_bound(kernel, m, d) for m in m_list]
-    return EigenRateStudy(kernel=kernel, d=d, reports=reports)
+    reports = [check_eigen_lower_bound(kernel, m) for m in m_list]
+    return EigenRateStudy(kernel=kernel, d=int(kernel.dim), reports=reports)
 
 
 @dataclass(frozen=True)

@@ -181,11 +181,11 @@ class Kernel:
             return 1.0
         if self.family == INVERSE_MULTIQUADRIC:
             return self.sigma ** (-2.0 * self.beta)
-        if self.r == 1:
+        if self.dim == 1 and self.r == 1:
             return math.pi
-        if self.r == 2:
+        if self.dim == 1 and self.r == 2:
             return math.pi / 2.0
-        return _sobolev_profile_zero(float(self.r))
+        return _sobolev_profile_zero(float(self.r), int(self.dim))
 
     def kappa(self) -> float:
         """sup over the cube of sqrt(K(u, u)); equals sqrt of the diagonal."""
@@ -218,15 +218,21 @@ class Kernel:
 
         The bound reads |K(u, v) - K(u, w)| <= C_K |v - w|^alpha.  The
         gaussian and inverse multiquadric constants are closed forms; the
-        sobolev constant is estimated by sampling.
+        sobolev constant is estimated by sampling the profile on the line,
+        so a sobolev kernel in dim >= 2 raises
+        :class:`~rfl.errors.UnsupportedConfigurationError`.
         """
         root_d = math.sqrt(self.dim)
         if self.family == GAUSSIAN:
             return 1.0, root_d / self.sigma**2
         if self.family == INVERSE_MULTIQUADRIC:
             return 1.0, 2.0 * root_d * self.beta * self.sigma ** (-2.0 * self.beta - 2.0)
-        alpha = min(1.0, self.r - self.dim / 2.0)
-        return alpha, _sobolev_holder_constant(float(self.r), int(self.dim), alpha)
+        if self.dim != 1:
+            raise UnsupportedConfigurationError(
+                "the sobolev Hölder constant is only available for dim=1"
+            )
+        alpha = min(1.0, self.r - 0.5)
+        return alpha, _sobolev_holder_constant(float(self.r), alpha)
 
     # -- serialization ------------------------------------------------
 
@@ -283,13 +289,13 @@ def _sq_dists(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _sobolev_profile_zero(r: float) -> float:
-    # integral of (1 + xi^2)^(-r) over the line
-    return math.sqrt(math.pi) * math.gamma(r - 0.5) / math.gamma(r)
+def _sobolev_profile_zero(r: float, dim: int = 1) -> float:
+    # integral of (1 + |xi|^2)^(-r) over R^dim
+    return math.sqrt(math.pi) ** dim * math.gamma(r - dim / 2) / math.gamma(r)
 
 
 @lru_cache(maxsize=8)
-def _sobolev_holder_constant(r: float, dim: int, alpha: float) -> float:
+def _sobolev_holder_constant(r: float, alpha: float) -> float:
     """Sampled Hölder constant for the sobolev family.
 
     No closed form is available, so the constant is the largest ratio
@@ -297,13 +303,13 @@ def _sobolev_holder_constant(r: float, dim: int, alpha: float) -> float:
     of point triples, with perturbations spanning several length scales so
     the short-distance regime that dominates the ratio is covered.
     """
-    kernel = Kernel(SOBOLEV, r=r, dim=dim)
+    kernel = Kernel(SOBOLEV, r=r)
     rng = np.random.default_rng(_HOLDER_SEED)
     n = _HOLDER_TRIPLES
-    u = rng.uniform(0.0, 1.0, size=(n, dim))
-    v = rng.uniform(0.0, 1.0, size=(n, dim))
+    u = rng.uniform(0.0, 1.0, size=(n, 1))
+    v = rng.uniform(0.0, 1.0, size=(n, 1))
     scales = 10.0 ** rng.uniform(-5.0, 0.0, size=(n, 1))
-    w = np.clip(v + scales * rng.standard_normal((n, dim)), 0.0, 1.0)
+    w = np.clip(v + scales * rng.standard_normal((n, 1)), 0.0, 1.0)
     duv = np.sqrt(((u - v) ** 2).sum(axis=1))
     duw = np.sqrt(((u - w) ** 2).sum(axis=1))
     dvw = np.sqrt(((v - w) ** 2).sum(axis=1))

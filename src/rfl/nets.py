@@ -33,6 +33,10 @@ from ._report import Report
 from .errors import ArgumentError, DivergenceError, _check_positive_int
 
 DEFAULT_WIDTHS = (64, 64)
+# Adam's moment decay rates and denominator guard (Kingma and Ba's defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class WidthSchedule(NamedTuple):
@@ -184,21 +188,19 @@ class TrainConfig:
     ``lr_schedule`` is either "constant" or "cosine" (decay to zero across
     the epoch budget); cosine is the default because it settles the final
     iterate instead of leaving it bouncing at the noise floor of the
-    constant-rate optimizer.
+    constant-rate optimizer.  Adam's constants are the module's
+    ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``.
     """
 
     epochs: int = 400
     batch_size: int = 64
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
     widths: tuple[int, int] = DEFAULT_WIDTHS
     lr_schedule: str = "cosine"
 
     def __post_init__(self):
-        # a config file's 3.0 passes the schema's integer check
+        # a float count is refused; the CLI converts a config file's 3.0 first
         for name in ("epochs", "batch_size", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -213,12 +215,6 @@ class TrainConfig:
             raise ArgumentError(
                 f"learning_rate must be finite and > 0, got {self.learning_rate!r}"
             )
-        for name in ("beta1", "beta2"):
-            beta = getattr(self, name)
-            if not 0.0 <= beta < 1.0:
-                raise ArgumentError(f"{name} must lie in [0, 1), got {beta!r}")
-        if not (math.isfinite(self.adam_eps) and self.adam_eps > 0.0):
-            raise ArgumentError(f"adam_eps must be finite and > 0, got {self.adam_eps!r}")
         # init reads only two widths and truncates floats, so check them here
         if not (
             isinstance(self.widths, (tuple, list, np.ndarray))
@@ -240,9 +236,6 @@ class TrainConfig:
             "epochs": int(self.epochs),
             "batch_size": int(self.batch_size),
             "learning_rate": float(self.learning_rate),
-            "beta1": float(self.beta1),
-            "beta2": float(self.beta2),
-            "adam_eps": float(self.adam_eps),
             "seed": int(self.seed),
             "widths": [int(w) for w in self.widths],
             "lr_schedule": self.lr_schedule,
@@ -315,7 +308,6 @@ def train(
     if n == 0:
         raise ArgumentError("training set is empty")
     rng = np.random.default_rng(config.seed)
-    beta1, beta2, eps = config.beta1, config.beta2, config.adam_eps
     originals = net.parameters()
     shapes = [p.shape for p in originals]
     theta = np.concatenate([p.ravel() for p in originals])
@@ -345,20 +337,20 @@ def train(
                 for view, g in zip(grad_views, gradient(net, X[idx], y[idx])):
                     view[...] = g
                 step += 1
-                c1 = 1.0 - beta1**step
-                c2 = 1.0 - beta2**step
+                c1 = 1.0 - ADAM_BETA1**step
+                c2 = 1.0 - ADAM_BETA2**step
                 # m = b1 m + (1-b1) g;  v = b2 v + (1-b2) g^2
-                m_state *= beta1
-                np.multiply(grad, 1.0 - beta1, out=s1)
+                m_state *= ADAM_BETA1
+                np.multiply(grad, 1.0 - ADAM_BETA1, out=s1)
                 m_state += s1
-                v_state *= beta2
+                v_state *= ADAM_BETA2
                 np.multiply(grad, grad, out=s1)
-                s1 *= 1.0 - beta2
+                s1 *= 1.0 - ADAM_BETA2
                 v_state += s1
                 # theta -= lr (m/c1) / (sqrt(v/c2) + eps)
                 np.divide(v_state, c2, out=s1)
                 np.sqrt(s1, out=s1)
-                s1 += eps
+                s1 += ADAM_EPS
                 np.divide(m_state, c1, out=s2)
                 s2 *= lr
                 s2 /= s1

@@ -6,7 +6,8 @@ exact node coordinates in extended precision, so flat kernels whose
 rounded Gram matrix is indefinite in double precision still get their
 true value.  Every other node set, and grids past ``EXTENDED_MAX_M``, use
 LAPACK's symmetric eigensolver and refuse a value that does not clear the
-noise floor of the rounded matrix.
+noise floor of the rounded matrix.  The dimension is always the kernel's
+``dim``, and an eigenvalue is always that of one :class:`rfl.rkhs.GramSystem`.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from . import _exact
 from ._report import Report
 from .errors import ArgumentError, SingularGramError, _check_positive_int
-from .geometry import PointSet, fill_distance, uniform_grid
+from .geometry import fill_distance, uniform_grid
 from .kernels import Kernel
 from .rkhs import GramSystem, build_gram
 
@@ -67,56 +68,51 @@ def smallest_eigenvalue(gram) -> float:
     return float(np.linalg.eigvalsh(A)[0])
 
 
-def lambda_min_accurate(kernel: Kernel, points: PointSet, gram) -> tuple[float, str]:
-    """Smallest Gram eigenvalue, from the most accurate route available.
+def lambda_min_accurate(system: GramSystem) -> tuple[float, str]:
+    """Smallest eigenvalue of a Gram system, from the most accurate route available.
 
-    Uniform grids with m <= ``EXTENDED_MAX_M`` whose kernel
+    Systems on a uniform grid with m <= ``EXTENDED_MAX_M`` whose kernel
     :func:`rfl._exact.supports_grid` are solved in extended precision from
-    exact node coordinates.  Everything else goes to :func:`smallest_eigenvalue`;
-    a result at or below the noise floor of the rounded matrix is
-    meaningless (the stored matrix is often exactly indefinite even though
-    the true one is positive definite) and raises :class:`SingularGramError`.
+    exact node coordinates.  Everything else goes to :func:`smallest_eigenvalue`
+    on ``system.gram``; a result at or below the noise floor of the rounded
+    matrix is meaningless (the stored matrix is often exactly indefinite even
+    though the true one is positive definite) and raises :class:`SingularGramError`.
     Returns the value and the method tag ("extended" or "eigvalsh").
     """
-    m = points.grid_m
-    if m is not None and m <= EXTENDED_MAX_M and _exact.supports_grid(kernel, points.dim):
-        return _exact.grid_lambda_min(kernel, m, points.dim), "extended"
-    gram = np.asarray(gram, dtype=float)
+    m = system.points.grid_m
+    if m is not None and m <= EXTENDED_MAX_M and _exact.supports_grid(system.kernel):
+        return _exact.grid_lambda_min(system.kernel, m), "extended"
+    gram = system.gram
     lam = smallest_eigenvalue(gram)
     floor = 10.0 * len(gram) * _EPS * float(np.linalg.norm(gram))
     if lam <= floor:
         raise SingularGramError(
-            f"smallest Gram eigenvalue {lam:.3e} of {len(points)} nodes lies below the "
+            f"smallest Gram eigenvalue {lam:.3e} of {len(gram)} nodes lies below the "
             f"double-precision noise floor {floor:.3e}, and no extended-precision route applies"
         )
     return lam, "eigvalsh"
 
 
-def check_eigen_lower_bound(kernel: Kernel, m: int, d: int | None = None) -> SpectralReport:
+def check_eigen_lower_bound(kernel: Kernel, m: int) -> SpectralReport:
     """Compare the smallest grid-Gram eigenvalue with its spectral bound.
 
-    The bound states lambda_min >= m * Gamma_m where Gamma_m is the corner
-    minimum of the spectral density over [-m/2, m/2]^d; the stronger
-    m^d variant is evaluated alongside.  Flags carry a 1e-6 relative slack.
+    The grid is the uniform one in the kernel's dimension d.  The bound
+    states lambda_min >= m * Gamma_m where Gamma_m is the corner minimum of
+    the spectral density over [-m/2, m/2]^d; the stronger m^d variant is
+    evaluated alongside.  Flags carry a 1e-6 relative slack.
     """
-    if d is None:
-        d = kernel.dim
-    if d != kernel.dim:
-        raise ArgumentError(
-            f"requested dimension {d} conflicts with the kernel descriptor ({kernel.dim})"
-        )
     _check_positive_int(m, "grid parameter m")
+    d = int(kernel.dim)
     gamma = kernel.gamma_m(int(m))
-    grid = uniform_grid(int(m), int(d))
-    system = build_gram(kernel, grid)
-    lam, method = lambda_min_accurate(kernel, grid, system.gram)
+    system = build_gram(kernel, uniform_grid(int(m), d))
+    lam, method = lambda_min_accurate(system)
     bound = m * gamma
     bound_pow = float(m**d) * gamma
     slack = 1.0 - 1e-6
     return SpectralReport(
         kernel=kernel,
         m=int(m),
-        d=int(d),
+        d=d,
         lambda_min=lam,
         inv_op_norm=1.0 / lam,
         bound_m_gamma=bound,
@@ -144,6 +140,6 @@ def holder_constant_G(system: GramSystem, s: float, C_F: float) -> float:
         raise ArgumentError(f"functional constant must be finite and nonnegative, got {C_F!r}")
     alpha, c_k = system.kernel.holder_data()
     h = fill_distance(system.points)
-    lam, _ = lambda_min_accurate(system.kernel, system.points, system.gram)
+    lam, _ = lambda_min_accurate(system)
     n = len(system)
     return float(C_F * (1.0 + (1.0 / lam) * math.sqrt(n) * c_k * h**alpha) ** s)

@@ -430,9 +430,6 @@ _REPORT_SHAPES = [
                 "epochs": "int",
                 "batch_size": "int",
                 "learning_rate": "float",
-                "beta1": "float",
-                "beta2": "float",
-                "adam_eps": "float",
                 "seed": "int",
                 "widths": ["int"],
                 "lr_schedule": "str",
@@ -467,14 +464,27 @@ def test_report_json_shape(argv, key, expected, tmp_path):
     assert _shape(json.loads(read(out / "report.json"))[key]) == expected
 
 
-@pytest.mark.parametrize("key", ["epochs", "batch_size", "seed"])
-def test_non_integer_train_setting_in_config_file_exits_2(key, tmp_path):
-    # jsonschema counts 3.0 as an integer, so TrainConfig must reject it
-    cfg = {"kernel": {"family": "gaussian"}, "m": 2, "n_samples": 10, "epochs": 1,
-           "widths": [4, 4], key: 3.0}
-    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
-    argv = ["train", "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "o")]
-    assert run(argv) == 2
+@pytest.mark.parametrize(
+    "command, table, base",
+    [
+        ("train", "loss_curve", {"m": 2}),
+        ("flm", "flm", {"m_list": [1, 2]}),
+    ],
+)
+@pytest.mark.parametrize("key, value", [("epochs", 2), ("batch_size", 4), ("seed", 1)])
+def test_integral_float_train_setting_in_config_file_runs_as_its_int(
+    command, table, base, key, value, tmp_path
+):
+    # jsonschema counts 2.0 as an integer; it used to reach TrainConfig and exit 2
+    cfg = {"kernel": {"family": "gaussian"}, **base, "n_samples": 10, "epochs": 1,
+           "widths": [4, 4]}
+    csvs = []
+    for name, number in (("int", value), ("float", float(value))):
+        (tmp_path / f"{name}.json").write_text(json.dumps({**cfg, key: number}))
+        out = tmp_path / name
+        assert run([command, "--config", str(tmp_path / f"{name}.json"), "--out", str(out)]) == 0
+        csvs.append((out / "tables" / f"{table}.csv").read_bytes())
+    assert csvs[0] == csvs[1]
 
 
 def _reject_constant(name):
@@ -534,17 +544,17 @@ MERGE_CASES = [
     (
         ["eigen", *ONE_THREAD_ALL, *KERNEL_ALL, "--m-list", "1,2"],
         None,
-        {**ONE_THREAD_ALL_CFG, "kernel": KERNEL_ALL_CFG, "m_list": [1, 2], "d": 2},
+        {**ONE_THREAD_ALL_CFG, "kernel": KERNEL_ALL_CFG, "m_list": [1, 2]},
     ),
     (
         ["eigen", "--config", "{cfg}"],
-        {"kernel": {"family": "gaussian", "dim": 2}, "m_list": [1, 2], "d": 2},
-        {"kernel": {"family": "gaussian", "dim": 2}, "m_list": [1, 2], "d": 2},
+        {"kernel": {"family": "gaussian", "dim": 2}, "m_list": [1, 2]},
+        {"kernel": {"family": "gaussian", "dim": 2}, "m_list": [1, 2]},
     ),
     (
         ["eigen", "--config", "{cfg}", "--d", "1", "--kernel", "sobolev", "--r", "1"],
-        {"kernel": {"family": "gaussian", "sigma": 2.0, "dim": 2}, "m_list": [1, 2], "d": 2},
-        {"kernel": {"family": "sobolev", "sigma": 2.0, "dim": 1, "r": 1.0}, "m_list": [1, 2], "d": 1},
+        {"kernel": {"family": "gaussian", "sigma": 2.0, "dim": 2}, "m_list": [1, 2]},
+        {"kernel": {"family": "sobolev", "sigma": 2.0, "dim": 1, "r": 1.0}, "m_list": [1, 2]},
     ),
     (
         ["project", *ONE_THREAD_ALL, *KERNEL_ALL, "--m", "3", "--n-samples", "4", "--n-centers", "5",
@@ -757,6 +767,28 @@ def test_flag_into_a_config_value_that_is_not_an_object_exits_2(tmp_path, monkey
 def test_command_schema_is_valid_against_its_metaschema(command):
     schema = rfl.cli._COMMAND_SCHEMAS[command]
     jsonschema.validators.validator_for(schema).check_schema(schema)
+
+
+@pytest.mark.parametrize("command", sorted(rfl.cli._COMMAND_SCHEMAS))
+def test_command_schema_holds_exactly_the_options_of_its_flags(command):
+    # a key patched into one schema by hand would have no flag
+    keys = rfl.cli._COMMON + rfl.cli._COMMANDS[command][1]
+    want: dict = {}
+    for key in keys:
+        outer, _, name = key.rpartition(".")
+        want.setdefault(outer, set()).add(name)
+    props = rfl.cli._COMMAND_SCHEMAS[command]["properties"]
+    assert set(props) == want.pop("") | set(want)
+    for outer, names in want.items():
+        assert set(props[outer]["properties"]) == names
+
+
+def test_eigen_config_with_a_top_level_d_exits_2(tmp_path, monkeypatch):
+    # d belongs to the kernel: --d sets kernel.dim, and a top-level d is an unknown key
+    cfg = {"kernel": {"family": "gaussian", "dim": 2}, "m_list": [1, 2], "d": 2}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert _echo_run(["eigen", "--config", str(tmp_path / "cfg.json")], tmp_path, monkeypatch) == 2
+    assert not (tmp_path / "env").exists()
 
 
 BAD_CONFIGS = [

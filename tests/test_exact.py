@@ -190,7 +190,7 @@ GRID_KERNELS = [
 
 def _check_grid_lambda_min(kernel, m):
     want = _reference_grid_lambda_min(kernel, m)
-    assert _exact.grid_lambda_min(kernel, m, 1).hex() == float(want).hex()
+    assert _exact.grid_lambda_min(kernel, m).hex() == float(want).hex()
     return want
 
 
@@ -260,7 +260,7 @@ def test_grid_lambda_min_refines_the_other_block_when_its_count_turns(kernel, mo
     # taken in the wrong order, the first block's bracket lies above the other
     # block's minimum: the Sturm count there turns and the other is refined too
     ms = [1, 2, 5, 8, 13]
-    want = [_exact.grid_lambda_min(kernel, m, 1).hex() for m in ms]
+    want = [_exact.grid_lambda_min(kernel, m).hex() for m in ms]
     lower_first = _exact._lower_first
     monkeypatch.setattr(_exact, "_lower_first", lambda *args: lower_first(*args)[::-1])
     certified, calls = _exact._certified_power, []
@@ -272,7 +272,7 @@ def test_grid_lambda_min_refines_the_other_block_when_its_count_turns(kernel, mo
     monkeypatch.setattr(_exact, "_certified_power", counting)
     for m, lam in zip(ms, want):
         calls.clear()
-        assert _exact.grid_lambda_min(kernel, m, 1).hex() == lam
+        assert _exact.grid_lambda_min(kernel, m).hex() == lam
         # the last pass, at one precision, refines both blocks
         (*_, prec_a), (*_, prec_b) = calls[-2:]
         assert prec_a == prec_b
@@ -286,7 +286,7 @@ def test_flat_gaussian_grid_lambda_min_is_the_800_digit_double(sigma, d):
     # certify a wrong double (0x1.097c2c8854c6ep-124 at sigma=1e3, d=1)
     kernel = Kernel("gaussian", sigma=sigma, dim=d)
     want = float(_reference_grid_lambda_min(kernel, 5, dps=800) ** d)
-    got = _exact.grid_lambda_min(kernel, 5, d)
+    got = _exact.grid_lambda_min(kernel, 5)
     assert got.hex() == want.hex()
     if (sigma, d) == (1e3, 1):
         assert got.hex() == "0x1.097c2c8854c0dp-124"
@@ -317,7 +317,7 @@ def test_grid_lambda_min_at_the_cap_and_where_eigsy_is_not_positive(kernel, m, p
 def test_gaussian_d2_grid_lambda_min_is_the_squared_1d_value(sigma, m):
     kernel = Kernel("gaussian", sigma=sigma, dim=2)
     want = float(_reference_grid_lambda_min(kernel, m) ** 2)
-    assert _exact.grid_lambda_min(kernel, m, 2).hex() == want.hex()
+    assert _exact.grid_lambda_min(kernel, m).hex() == want.hex()
 
 
 def test_grid_lambda_min_does_not_call_eigsy(monkeypatch):
@@ -328,26 +328,26 @@ def test_grid_lambda_min_does_not_call_eigsy(monkeypatch):
         raise AssertionError("grid_lambda_min went through MPContext.eigsy")
 
     monkeypatch.setattr(mpmath.MPContext, "eigsy", eigsy)
-    assert _exact.grid_lambda_min(kernel, 12, 1).hex() == want.hex()
+    assert _exact.grid_lambda_min(kernel, 12).hex() == want.hex()
 
 
 def test_grid_lambda_min_iteration_limit_raises(monkeypatch):
     monkeypatch.setattr(_exact, "_STEPS_PER_BIT", 0)
     with pytest.raises(SingularGramError, match="at m=4: no convergence after 0 Sturm counts"):
-        _exact.grid_lambda_min(Kernel("sobolev", r=1.0, dim=1), 4, 1)
+        _exact.grid_lambda_min(Kernel("sobolev", r=1.0, dim=1), 4)
 
 
 def test_grid_lambda_min_below_the_double_range_raises():
     # the 1-D value at sigma=1000, m=24 is near 1e-200: its square has no double
     with pytest.raises(SingularGramError, match="at m=24, d=2 is below the double range"):
-        _exact.grid_lambda_min(Kernel("gaussian", sigma=1000.0, dim=2), 24, 2)
+        _exact.grid_lambda_min(Kernel("gaussian", sigma=1000.0, dim=2), 24)
 
 
 @pytest.mark.parametrize("kernel", GRID_KERNELS)
 def test_grid_lambda_min_agrees_with_eigvalsh(kernel):
     # double-precision eigenvalues are good to about 1e-15 |A|; judge only those well above that
     for m in range(1, 13):
-        lam = _exact.grid_lambda_min(kernel, m, 1)
+        lam = _exact.grid_lambda_min(kernel, m)
         nodes = uniform_grid(m, 1).points
         gram = kernel.pairwise(nodes, nodes)
         norm = np.linalg.norm(gram, 2)
@@ -362,7 +362,7 @@ def test_threads_keep_global_precision_and_values():
     kms = [(kernel, m) for kernel in kernels for m in range(8, 13)]
     nodes = uniform_grid(8, 1).points
     xs = _probe_points(nodes, seed=1)
-    serial_lams = [_exact.grid_lambda_min(kernel, m, 1).hex() for kernel, m in kms]
+    serial_lams = [_exact.grid_lambda_min(kernel, m).hex() for kernel, m in kms]
     serial_schur = [_exact.schur_values(kernel, nodes, xs).tobytes() for kernel in kernels]
     assert mpmath.mp.dps == 15
 
@@ -370,7 +370,7 @@ def test_threads_keep_global_precision_and_values():
     sys.setswitchinterval(1e-5)
     try:
         with ThreadPoolExecutor(max_workers=2) as pool:
-            lams = [pool.submit(_exact.grid_lambda_min, kernel, m, 1) for kernel, m in kms * 2]
+            lams = [pool.submit(_exact.grid_lambda_min, kernel, m) for kernel, m in kms * 2]
             schurs = [pool.submit(_exact.schur_values, kernel, nodes, xs) for kernel in kernels * 2]
             threaded_lams = [f.result(timeout=120).hex() for f in lams]
             threaded_schur = [f.result(timeout=120).tobytes() for f in schurs]
@@ -396,11 +396,11 @@ def test_rate_study_power_with_escalation_keeps_global_precision():
 def test_supports_grid():
     imq = Kernel("inverse_multiquadric", sigma=1.0, beta=2.0, dim=1)
     for d in (1, 2, 3):
-        assert _exact.supports_grid(Kernel("gaussian", sigma=0.5, dim=d), d)
-    assert _exact.supports_grid(imq, 1)
-    assert _exact.supports_grid(Kernel("sobolev", r=2.0, dim=1), 1)
-    assert _exact.supports_grid(Kernel("sobolev", r=1.25, dim=1), 1)
+        assert _exact.supports_grid(Kernel("gaussian", sigma=0.5, dim=d))
+    assert _exact.supports_grid(imq)
+    assert _exact.supports_grid(Kernel("sobolev", r=2.0, dim=1))
+    assert _exact.supports_grid(Kernel("sobolev", r=1.25, dim=1))
     imq2 = Kernel("inverse_multiquadric", sigma=1.0, beta=2.0, dim=2)
-    assert not _exact.supports_grid(imq2, 2)
+    assert not _exact.supports_grid(imq2)
     with pytest.raises(UnsupportedConfigurationError):
-        _exact.grid_lambda_min(imq2, 3, 2)
+        _exact.grid_lambda_min(imq2, 3)

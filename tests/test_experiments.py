@@ -212,15 +212,15 @@ def test_rate_study_eigen():
     assert len(obj["reports"]) == 3
 
 
-@pytest.mark.parametrize("m_list, d", [([2.9, 3.5], None), ([True, 2], None), ([1, 2], 1.5)])
-def test_rate_study_eigen_rejects_non_integral_sizes(m_list, d):
+@pytest.mark.parametrize("m_list", [[2.9, 3.5], [True, 2]])
+def test_rate_study_eigen_rejects_non_integral_sizes(m_list):
     # [2.9, 3.5] used to report m = 2, 3
     with pytest.raises(ArgumentError, match="must be an integer"):
-        rate_study_eigen(Kernel("sobolev", r=1.0, dim=1), m_list, d)
+        rate_study_eigen(Kernel("sobolev", r=1.0, dim=1), m_list)
 
 
 def test_rate_study_eigen_accepts_integral_floats():
-    study = rate_study_eigen(Kernel("sobolev", r=1.0, dim=1), [2.0, np.int64(3)], 1.0)
+    study = rate_study_eigen(Kernel("sobolev", r=1.0, dim=1), [2.0, np.int64(3)])
     assert [r.m for r in study.reports] == [2, 3]
     assert study.d == 1
 

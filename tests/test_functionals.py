@@ -312,6 +312,16 @@ def test_target_functional_holder_data():
     assert ode_map("u", 0.0, 1.0, 2.0, 64).holder_constant(GAUSS) == 1.0
 
 
+def test_energy_holder_constant_of_a_sobolev_kernel_in_dim_2():
+    # kappa^2 = pi Gamma(1.2) / Gamma(2.2), the density's integral over R^2;
+    # the 1-D value 1.4617 stood in for it
+    kernel = Kernel("sobolev", r=2.2, dim=2)
+    kappa = math.sqrt(math.pi * math.gamma(1.2) / math.gamma(2.2))
+    assert TargetFunctional(kind="l2_energy").holder_constant(kernel) == pytest.approx(
+        2.0 * kappa, rel=1e-14
+    )
+
+
 def test_target_functional_validation():
     with pytest.raises(ArgumentError):
         TargetFunctional(kind="cubic")

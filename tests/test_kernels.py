@@ -416,6 +416,39 @@ def test_kappa_and_diagonal():
     assert mq.diagonal() == pytest.approx(0.25, rel=1e-15)
 
 
+def _sobolev_density_integral(r: float, dim: int) -> float:
+    """Integral of (1 + |xi|^2)^(-r) over R^dim by 30-digit radial quadrature."""
+    with mpmath.workdps(30):
+        half = mpmath.mpf(dim) / 2
+        sphere = 2 * mpmath.pi**half / mpmath.gamma(half)
+        radial = mpmath.quad(lambda p: p ** (dim - 1) * (1 + p * p) ** (-r), [0, 1, mpmath.inf])
+        return float(sphere * radial)
+
+
+@pytest.mark.parametrize(
+    "r, dim", [(1.0, 1), (2.0, 1), (1.25, 1), (2.2, 2), (3.3, 2), (2.0, 3), (1.75, 3)]
+)
+def test_sobolev_diagonal_is_the_density_integral_in_every_dimension(r, dim):
+    # d >= 2 returned the 1-D value: 1.4617 for r = 2.2, d = 2 (true 2.618) and
+    # pi / 2 for r = 2, d = 3 (true pi^2)
+    k = Kernel("sobolev", r=r, dim=dim)
+    assert k.diagonal() == pytest.approx(_sobolev_density_integral(r, dim), rel=1e-14)
+    assert k.kappa() == math.sqrt(k.diagonal())
+
+
+@pytest.mark.parametrize("r", [1.0, 2.0, 1.25, 2.75, 20.2])
+def test_sobolev_diagonal_on_the_line_keeps_its_bits(r):
+    shortcut = {1.0: math.pi, 2.0: math.pi / 2.0}
+    want = shortcut.get(r, math.sqrt(math.pi) * math.gamma(r - 0.5) / math.gamma(r))
+    assert Kernel("sobolev", r=r, dim=1).diagonal() == want
+
+
+def test_sobolev_holder_data_refuses_dim_2():
+    # it sampled the 1-D profile and returned that constant
+    with pytest.raises(UnsupportedConfigurationError, match="dim=1"):
+        Kernel("sobolev", r=2.2, dim=2).holder_data()
+
+
 def test_m_d_constant_frozen():
     # 12 pi Gamma((d+2)/2)^2 / 9
     assert m_d_constant(1) == pytest.approx(math.pi**2 / 3.0, rel=1e-14)

@@ -71,7 +71,7 @@ def test_smallest_eigenvalue_validation():
 def test_lambda_min_accurate_small_grid_uses_extended():
     grid = uniform_grid(2, 1)
     system = build_gram(GAUSS, grid)
-    lam, method = lambda_min_accurate(GAUSS, grid, system.gram)
+    lam, method = lambda_min_accurate(system)
     assert method == "extended"
     assert lam == pytest.approx(float(np.linalg.eigvalsh(system.gram).min()), rel=1e-10)
 
@@ -81,11 +81,11 @@ def test_lambda_min_accurate_extended_frozen():
     # value must come from the exact-coordinate extended route; frozen against
     # an independent mpmath eigensolve
     grid9 = uniform_grid(9, 1)
-    lam9, method9 = lambda_min_accurate(GAUSS, grid9, build_gram(GAUSS, grid9).gram)
+    lam9, method9 = lambda_min_accurate(build_gram(GAUSS, grid9))
     assert method9 == "extended"
     assert lam9 == pytest.approx(4.8939190503331614e-17, rel=1e-10)
     grid12 = uniform_grid(12, 1)
-    lam12, method12 = lambda_min_accurate(GAUSS, grid12, build_gram(GAUSS, grid12).gram)
+    lam12, method12 = lambda_min_accurate(build_gram(GAUSS, grid12))
     assert method12 == "extended"
     assert lam12 == pytest.approx(2.202265092616178e-24, rel=1e-10)
 
@@ -169,9 +169,9 @@ def test_criterion4_eigenvalues_frozen():
 def test_lambda_min_accurate_double_route():
     # nodes without an extended route take eigvalsh when the value clears the floor
     sob = Kernel("sobolev", r=1.0, dim=1)
-    nodes = halton_points(40, 1)
-    gram = build_gram(sob, nodes).gram
-    assert lambda_min_accurate(sob, nodes, gram) == (
+    system = build_gram(sob, halton_points(40, 1))
+    gram = system.gram
+    assert lambda_min_accurate(system) == (
         float(np.linalg.eigvalsh(gram)[0]),
         "eigvalsh",
     )
@@ -179,7 +179,7 @@ def test_lambda_min_accurate_double_route():
         (Kernel("sobolev", r=1.25, dim=1), halton_points(40, 1)),
         (Kernel("inverse_multiquadric", sigma=1.0, beta=1.0, dim=2), uniform_grid(4, 2)),
     ):
-        lam, method = lambda_min_accurate(kernel, grid, build_gram(kernel, grid).gram)
+        lam, method = lambda_min_accurate(build_gram(kernel, grid))
         assert method == "eigvalsh"
         assert lam > 0.0
 
@@ -187,9 +187,9 @@ def test_lambda_min_accurate_double_route():
 def test_lambda_min_accurate_past_extended_cap():
     m = EXTENDED_MAX_M + 1
     grid = uniform_grid(m, 1)
-    lam, method = lambda_min_accurate(SOB1, grid, build_gram(SOB1, grid).gram)
+    lam, method = lambda_min_accurate(build_gram(SOB1, grid))
     assert method == "eigvalsh"
-    assert lam == pytest.approx(grid_lambda_min(SOB1, m, 1), rel=1e-12)
+    assert lam == pytest.approx(grid_lambda_min(SOB1, m), rel=1e-12)
 
 
 def test_non_positive_extended_eigenvalue_raises():
@@ -200,7 +200,7 @@ def test_non_positive_extended_eigenvalue_raises():
     grid = uniform_grid(16, 1)
     system = build_gram(flat, grid)
     with pytest.raises(SingularGramError, match="not positive"):
-        lambda_min_accurate(flat, grid, system.gram)
+        lambda_min_accurate(system)
     with pytest.raises(SingularGramError):
         holder_constant_G(system, 1.0, 1.0)
 
@@ -253,8 +253,6 @@ def test_check_eigen_lower_bound_validation():
         )
     with pytest.raises(ArgumentError):
         check_eigen_lower_bound(GAUSS, 0)
-    with pytest.raises(ArgumentError):
-        check_eigen_lower_bound(GAUSS, 2, d=2)
 
 
 def test_spectral_report_json():
@@ -360,6 +358,6 @@ def test_holder_constant_G_off_grid_below_floor_raises():
     nodes = halton_points(40, 1)
     system = build_gram(GAUSS, nodes)
     with pytest.raises(SingularGramError, match="noise floor"):
-        lambda_min_accurate(GAUSS, nodes, system.gram)
+        lambda_min_accurate(system)
     with pytest.raises(SingularGramError):
         holder_constant_G(system, 1.0, 1.0)
