@@ -174,14 +174,14 @@ def _profile(kernel: Kernel, prec: int):
             return mpf_exp(mpf_mul(y, log_e), prec, _RND)
         return mpf_pow(e, y, prec, _RND)
 
-    sigma2 = mpf_pow_int(from_float(float(kernel.sigma)), 2, prec, _RND)
+    sigma2 = mpf_pow_int(from_float(kernel.sigma), 2, prec, _RND)
     if kernel.family == GAUSSIAN:
         # e ** (-s2 / (2 * mpf(sigma) ** 2))
         den = mpf_mul_int(sigma2, 2, prec, _RND)
         return lambda s2: e_pow(mpf_div(mpf_neg(s2, prec, _RND), den, prec, _RND))
     if kernel.family == INVERSE_MULTIQUADRIC:
         # (mpf(sigma) ** 2 + s2) ** (-mpf(beta))
-        neg_beta = mpf_neg(from_float(float(kernel.beta)), prec, _RND)
+        neg_beta = mpf_neg(from_float(kernel.beta), prec, _RND)
         return lambda s2: mpf_pow(mpf_add(sigma2, s2, prec, _RND), neg_beta, prec, _RND)
     pi = mpf_pi(prec, _RND)
     minus_two_pi = mpf_mul_int(pi, -2, prec, _RND)

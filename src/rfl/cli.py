@@ -5,6 +5,8 @@ optional JSON config file (``--config``) validated against a strict
 schema that rejects unknown keys; individual flags, spelled in full (no
 prefix abbreviations), override file values.
 The flags, their merge into the config and the schemas all come from ``_OPTIONS``.
+Each validated value takes its schema type once (``_typed``): a file may spell
+2 as 2.0 with the same outputs, and the library checks the ranges.
 Outputs land under ``--out``, or ``$RFL_OUT_DIR/<command>``, or
 ``./rfl_out/<command>``: a ``report.json`` echoing the merged config less
 ``output_dir``, ``tables/*.csv``, and ``plots/*.svg`` when ``--plots`` is
@@ -205,7 +207,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
             raise ConfigError(f"config file not found: {path}")
         try:
             cfg = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an int of over 4300 digits
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
         if not isinstance(cfg, dict):
             raise ConfigError("config file must hold a JSON object")
@@ -243,6 +245,22 @@ def _validate(cfg: dict, command: str) -> None:
         raise ConfigError(f"invalid {command} config at {where}: {exc.message}")
 
 
+def _typed(value, schema: dict, path: tuple = ()):
+    """A validated config with every schema integer an int and number a float, at any depth."""
+    kind = schema.get("type")
+    if kind == "object":
+        return {k: _typed(v, schema["properties"][k], (*path, k)) for k, v in value.items()}
+    if kind == "array":
+        return [_typed(v, schema["items"], (*path, i)) for i, v in enumerate(value)]
+    if kind not in _ARG_TYPES:
+        return value
+    try:
+        return _ARG_TYPES[kind](value)
+    except OverflowError:
+        where = "/".join(map(str, path))
+        raise ConfigError(f"invalid config at {where}: a number past the float range") from None
+
+
 def _require(cfg: dict, key: str):
     if key not in cfg:
         raise ConfigError(f"missing required config key {key!r} (flag --{key.replace('_', '-')})")
@@ -256,12 +274,8 @@ def _kernel_from(cfg: dict) -> Kernel:
 
 
 def _train_config(cfg: dict) -> TrainConfig:
-    kwargs = {f.name: cfg[f.name] for f in dataclasses.fields(TrainConfig) if f.name in cfg}
-    # the schema passes a config file's 3.0 as an integer
-    kwargs.update({k: int(v) for k, v in kwargs.items() if k in ("epochs", "batch_size", "seed")})
-    if "widths" in cfg:
-        kwargs["widths"] = tuple(int(w) for w in cfg["widths"])
-    return TrainConfig(**kwargs)
+    names = [f.name for f in dataclasses.fields(TrainConfig)]
+    return TrainConfig(**{name: cfg[name] for name in names if name in cfg})
 
 
 def _weight_link(cfg: dict) -> tuple[str, str]:
@@ -271,6 +285,8 @@ def _weight_link(cfg: dict) -> tuple[str, str]:
 
 def _functional_from(cfg: dict) -> TargetFunctional:
     if "functional" in cfg:
+        if "weight" in cfg or "link" in cfg:
+            raise ConfigError("give either a functional or a weight and link, not both")
         return TargetFunctional.from_json(cfg["functional"])
     weight, link = _weight_link(cfg)
     return TargetFunctional(kind="gflm", beta=weight, link=link)
@@ -383,14 +399,14 @@ def _cmd_eigen(cfg: dict):
 
 def _cmd_project(cfg: dict):
     kernel = _kernel_from(cfg)
-    m = int(_require(cfg, "m"))
-    n_samples = int(cfg.get("n_samples", 100))
-    n_centers = int(cfg.get("n_centers", DEFAULT_SAMPLE_CENTERS))
-    seed = int(cfg.get("seed", 0))
+    m = _require(cfg, "m")
+    n_samples = cfg.get("n_samples", 100)
+    n_centers = cfg.get("n_centers", DEFAULT_SAMPLE_CENTERS)
+    seed = cfg.get("seed", 0)
     grid = uniform_grid(m, kernel.dim)
     system = build_gram(kernel, grid)
     if cfg.get("eval_resolution") is not None:
-        eval_set = uniform_grid(int(cfg["eval_resolution"]), kernel.dim)
+        eval_set = uniform_grid(cfg["eval_resolution"], kernel.dim)
     else:
         eval_set = default_power_eval_set(grid)
     psup = power_function_sup(system, eval_set)
@@ -425,8 +441,8 @@ def _cmd_project(cfg: dict):
 def _cmd_train(cfg: dict):
     kernel = _kernel_from(cfg)
     functional = _functional_from(cfg)
-    m = int(_require(cfg, "m"))
-    n_samples = int(cfg.get("n_samples", 1000))
+    m = _require(cfg, "m")
+    n_samples = cfg.get("n_samples", 1000)
     config = _train_config(cfg)
     dataset = generate_dataset(kernel, functional, m, n_samples, config.seed)
     net = init(len(dataset.grid), config.widths, config.seed)
@@ -454,7 +470,7 @@ def _cmd_flm(cfg: dict):
     m_list = _require(cfg, "m_list")
     config = _train_config(cfg)
     experiment = flm_experiment(
-        *_weight_link(cfg), kernel, m_list, config, int(cfg.get("n_samples", 4000))
+        *_weight_link(cfg), kernel, m_list, config, cfg.get("n_samples", 4000)
     )
     payload = {"command": "flm", "config": cfg, "experiment": experiment.to_json()}
     tables = {"flm": experiment.table()}
@@ -470,9 +486,7 @@ def _cmd_flm(cfg: dict):
 
 def _cmd_meta(cfg: dict):
     theorem = _require(cfg, "theorem")
-    big_m = _require(cfg, "M")
-    meta = theorem_metadata(theorem, int(big_m), cfg.get("params"))
-    meta = dict(meta)
+    meta = theorem_metadata(theorem, _require(cfg, "M"), cfg.get("params"))
     # the exact bound can exceed the float range; echo it as a string
     meta["param_count_bound"] = str(meta["param_count_bound"])
     payload = {"command": "meta", "config": cfg, "metadata": meta}
@@ -527,6 +541,7 @@ def run(argv=None) -> int:
     try:
         cfg = _merge_config(args)
         _validate(cfg, args.command)
+        cfg = _typed(cfg, _COMMAND_SCHEMAS[args.command])
         # the report records the computation, not where it is written
         outdir = _resolve_out(cfg, args.command)
         cfg.pop("output_dir", None)

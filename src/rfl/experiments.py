@@ -20,7 +20,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._report import Report
-from .errors import ArgumentError, DivergenceError, _check_nonnegative_int
+from .errors import (
+    ArgumentError,
+    DivergenceError,
+    _check_nonnegative_int,
+    _check_positive_int,
+    _check_real,
+)
 from .functionals import TargetFunctional
 from .geometry import PointSet, uniform_grid
 from .kernels import GAUSSIAN, INVERSE_MULTIQUADRIC, SOBOLEV, Kernel, m_d_constant
@@ -98,16 +104,6 @@ def _unit_ball_draws(kernel: Kernel, n_samples: int, seed: int, n_centers: int):
         yield sample_unit_ball(kernel, n_centers, target_norm, child)
 
 
-def _count(value, name: str) -> int:
-    """``value`` as an int; a bool or a non-integral number raises :class:`ArgumentError`."""
-    if isinstance(value, bool) or not (
-        isinstance(value, (int, np.integer))
-        or (isinstance(value, (float, np.floating)) and float(value).is_integer())
-    ):
-        raise ArgumentError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 def generate_dataset(
     kernel: Kernel,
     functional: TargetFunctional,
@@ -140,10 +136,8 @@ def _draw_dataset(
     dataset of the same ``seed`` and ``n_samples`` on another grid can hand
     them over; the functions are still drawn, for their node values.
     """
-    n_samples = _count(n_samples, "n_samples")
-    if n_samples < 1:
-        raise ArgumentError(f"n_samples must be a positive integer, got {n_samples!r}")
-    grid = uniform_grid(_count(m, "m"), kernel.dim)
+    n_samples = _check_positive_int(n_samples, "n_samples")
+    grid = uniform_grid(m, kernel.dim)
     inputs = np.empty((n_samples, len(grid)))
     computed = targets is None
     if computed:
@@ -255,9 +249,9 @@ def rate_study_power(
     """
     from scipy.stats import linregress  # deferred: scipy.stats about doubles the import of rfl
 
-    m_list = [_count(m, "m") for m in m_list]
+    m_list = [_check_positive_int(m, "m") for m in m_list]
     if eval_resolution is not None:
-        eval_resolution = _count(eval_resolution, "eval_resolution")
+        eval_resolution = _check_positive_int(eval_resolution, "eval_resolution")
     if len(m_list) < 4 or any(b <= a for a, b in zip(m_list, m_list[1:])):
         raise ArgumentError("m_list must be strictly increasing with at least 4 entries")
     eval_set = uniform_grid(eval_resolution, kernel.dim) if eval_resolution is not None else None
@@ -323,9 +317,8 @@ class EigenRateStudy(Report):
 
 def rate_study_eigen(kernel: Kernel, m_list) -> EigenRateStudy:
     """Smallest eigenvalue against the spectral bound for each grid size, in ``kernel.dim``."""
-    m_list = [_count(m, "m") for m in m_list]
     reports = [check_eigen_lower_bound(kernel, m) for m in m_list]
-    return EigenRateStudy(kernel=kernel, d=int(kernel.dim), reports=reports)
+    return EigenRateStudy(kernel=kernel, d=kernel.dim, reports=reports)
 
 
 @dataclass(frozen=True)
@@ -393,8 +386,8 @@ def flm_experiment(
     true when the held-out sup error never rises by more than the 20%
     noise band from one grid size to the next.
     """
-    m_list = [_count(m, "m") for m in m_list]
-    n_samples = _count(n_samples, "n_samples")
+    m_list = [_check_positive_int(m, "m") for m in m_list]
+    n_samples = _check_positive_int(n_samples, "n_samples")
     functional = TargetFunctional(kind="gflm", beta=weight, link=link)
     rows: list[FlmRunRow] = []
     dataset = None
@@ -444,29 +437,20 @@ def theorem_metadata(theorem: str, M: int, params: dict | None = None) -> dict:
     ``params`` supplies the constants the statements leave free: r, s, d,
     sigma, beta and the decay constant c (never given numerically; estimate
     it from a rate study fit).  The error-bound factor is evaluated with
-    its outer constant set to 1 and is informational only.  Non-finite
-    constants, a non-integer d, sigma, beta or c <= 0, a sobolev r <= d/2
-    and formulas that overflow the float range raise :class:`ArgumentError`.
+    its outer constant set to 1 and is informational only.  Unknown keys,
+    non-finite constants, a non-int d, sigma, beta or c <= 0, a sobolev
+    r <= d/2 and float overflow in the formulas raise :class:`ArgumentError`.
     """
     if theorem not in THEOREM_FAMILIES:
         raise ArgumentError(f"unknown theorem {theorem!r}; choose from {THEOREM_FAMILIES}")
-    if not (isinstance(M, (int, np.integer)) and M >= 2):
-        raise ArgumentError(f"M must be an integer >= 2, got {M!r}")
+    M = _check_positive_int(M, "M", 2)
     p = {"r": 2.0, "s": 1.0, "d": 1, "sigma": 1.0, "beta": 1.0, "c": 1.0}
+    unknown = set(params or {}) - set(p)
+    if unknown:
+        raise ArgumentError(f"unknown theorem parameters {sorted(unknown)}; choose from {list(p)}")
     p.update(params or {})
-    for name, value in p.items():
-        if not math.isfinite(value):
-            raise ArgumentError(f"{name} must be finite, got {value!r}")
-    if isinstance(p["d"], bool) or not (float(p["d"]).is_integer() and p["d"] >= 1):
-        raise ArgumentError(f"d must be a positive integer, got {p['d']!r}")
-    r, s, d, sigma, beta, c = (
-        float(p["r"]),
-        float(p["s"]),
-        int(p["d"]),
-        float(p["sigma"]),
-        float(p["beta"]),
-        float(p["c"]),
-    )
+    d = _check_positive_int(p.pop("d"), "d")
+    r, s, sigma, beta, c = (_check_real(value, name) for name, value in p.items())
     if not (0.0 < s <= 1.0):
         raise ArgumentError(f"s must lie in (0, 1], got {s}")
     if min(sigma, beta, c) <= 0.0:
@@ -515,12 +499,12 @@ def theorem_metadata(theorem: str, M: int, params: dict | None = None) -> dict:
     )
     if n_inputs > _MAX_BOUND_DIGITS / math.log10(5 * M):
         raise too_long
-    schedule = theoretical_widths(n_inputs, int(M))
+    schedule = theoretical_widths(n_inputs, M)
     if schedule.param_count_bound >= 10**_MAX_BOUND_DIGITS:
         raise too_long
     return {
         "theorem": theorem,
-        "M": int(M),
+        "M": M,
         "params": {"r": r, "s": s, "d": d, "sigma": sigma, "beta": beta, "c": c},
         "m": m,
         "m_expression": m_expr,

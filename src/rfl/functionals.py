@@ -11,20 +11,23 @@ measured errors against C_F times a power of the interpolation error.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import cached_property
-from numbers import Real
 
 import numpy as np
 
-from .errors import ArgumentError, DivergenceError, UnsupportedConfigurationError
+from .errors import (
+    ArgumentError,
+    DivergenceError,
+    UnsupportedConfigurationError,
+    _check_positive_int,
+    _check_real,
+)
 from .kernels import Kernel
 from .rkhs import GramSystem, RkhsFunction, _projected_at
 
 DEFAULT_QUADRATURE_POINTS = 257
 _MIN_QUADRATURE_POINTS = 33
-_FLOAT_MAX = sys.float_info.max
 
 LINKS = {
     "identity": (lambda x: x, 1.0),
@@ -59,14 +62,13 @@ def _simpson_weights(n: int) -> np.ndarray:
 
 
 def _rk4(
-    xs: np.ndarray, us: np.ndarray, rhs_name: str, dx: float, h0: float, steps: int
+    xs: np.ndarray, us: np.ndarray, rhs_name: str, dx: float, h: float, steps: int
 ) -> float:
-    """Classical fixed-step fourth-order Runge-Kutta for h' = rhs(x, f(x), h).
+    """Classical fixed-step fourth-order Runge-Kutta for h' = rhs(x, f(x), h), from ``h``.
 
     ``us`` holds f on the half-step lattice ``xs`` (2 steps + 1 points, dx/2 apart).
     """
     rhs = ODE_RHS[rhs_name]
-    h = float(h0)
     for i in range(steps):
         x = xs[2 * i]
         u0, um, u1 = us[2 * i], us[2 * i + 1], us[2 * i + 2]
@@ -126,25 +128,21 @@ class TargetFunctional:
                 raise ArgumentError(f"ode config missing keys: {sorted(missing)}")
             if not (isinstance(o["rhs"], str) and o["rhs"] in ODE_RHS):
                 raise ArgumentError(f"unknown rhs {o['rhs']!r}; choose from {sorted(ODE_RHS)}")
-            if not (isinstance(o["steps"], (int, np.integer)) and o["steps"] >= 16):
-                raise ArgumentError(f"steps must be an integer >= 16, got {o['steps']!r}")
+            o = {**o, "steps": _check_positive_int(o["steps"], "steps", 16)}
             for key in ("a", "b", "h0"):
-                # abs(v) <= max float also rejects NaN and ints past the float range
-                v = o[key]
-                if isinstance(v, bool) or not (isinstance(v, Real) and abs(v) <= _FLOAT_MAX):
-                    raise ArgumentError(f"ode {key} must be a finite real number, got {v!r}")
+                o[key] = _check_real(o[key], f"ode {key}")
             if not o["b"] > o["a"]:
                 raise ArgumentError(f"need b > a, got [{o['a']}, {o['b']}]")
-        n = self.quadrature_points
-        if not (isinstance(n, (int, np.integer)) and n >= _MIN_QUADRATURE_POINTS and n % 2 == 1):
-            raise ArgumentError(
-                f"quadrature_points must be an odd integer >= {_MIN_QUADRATURE_POINTS}, got {n!r}"
-            )
+            object.__setattr__(self, "ode", o)
+        n = _check_positive_int(self.quadrature_points, "quadrature_points", _MIN_QUADRATURE_POINTS)
+        if n % 2 == 0:
+            raise ArgumentError(f"quadrature_points must be odd, got {n!r}")
+        object.__setattr__(self, "quadrature_points", n)
 
     @cached_property
     def _rule(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """Simpson nodes t, weights w and weight values beta(t), built on first use."""
-        t = np.linspace(0.0, 1.0, int(self.quadrature_points))
+        t = np.linspace(0.0, 1.0, self.quadrature_points)
         beta, b = self.beta, None
         if self.kind != "l2_energy":
             b = BETAS[beta][0](t) if isinstance(beta, str) else beta.eval_at(t[:, None])
@@ -155,9 +153,8 @@ class TargetFunctional:
         """The (P, 1) points where F reads f: the RK4 half-step lattice or the Simpson nodes."""
         if self.kind == "ode_map":
             o = self.ode
-            a, steps = float(o["a"]), int(o["steps"])
-            dx = (float(o["b"]) - a) / steps
-            return (a + np.arange(2 * steps + 1) * (dx / 2.0))[:, None]
+            dx = (o["b"] - o["a"]) / o["steps"]
+            return (o["a"] + np.arange(2 * o["steps"] + 1) * (dx / 2.0))[:, None]
         return self._rule[0][:, None]
 
     def _check_dim(self, kernel: Kernel) -> None:
@@ -170,9 +167,8 @@ class TargetFunctional:
         """F(f) from the values of f at :attr:`_points`."""
         if self.kind == "ode_map":
             o = self.ode
-            a, steps = float(o["a"]), int(o["steps"])
-            dx = (float(o["b"]) - a) / steps
-            return _rk4(self._points[:, 0], vals, o["rhs"], dx, float(o["h0"]), steps)
+            dx = (o["b"] - o["a"]) / o["steps"]
+            return _rk4(self._points[:, 0], vals, o["rhs"], dx, o["h0"], o["steps"])
         _, w, b = self._rule
         if self.kind == "l2_energy":
             return float(w @ (vals * vals))
@@ -211,12 +207,12 @@ class TargetFunctional:
             return 2.0 * kernel.kappa()
         if self.kind == "ode_map":
             o = self.ode
-            span = float(o["b"]) - float(o["a"])
+            span = o["b"] - o["a"]
             if o["rhs"] == "h":
                 return 0.0
             if o["rhs"] == "sin_u_times_h":
                 try:
-                    c = abs(float(o["h0"])) * math.exp(span) * span
+                    c = abs(o["h0"]) * math.exp(span) * span
                 except OverflowError:
                     c = math.inf
                 if not math.isfinite(c):
@@ -238,7 +234,7 @@ class TargetFunctional:
         return lip * norm * kernel.kappa()
 
     def to_json(self) -> dict:
-        out = {"kind": self.kind, "quadrature_points": int(self.quadrature_points)}
+        out = {"kind": self.kind, "quadrature_points": self.quadrature_points}
         if self.kind in ("linear_integral", "gflm"):
             out["beta"] = self.beta if isinstance(self.beta, str) else self.beta.to_json()
         if self.kind == "gflm":

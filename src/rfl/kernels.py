@@ -34,6 +34,7 @@ from .errors import (
     UnsupportedConfigurationError,
     _check_nonnegative_int,
     _check_positive_int,
+    _check_real,
 )
 
 GAUSSIAN = "gaussian"
@@ -50,10 +51,6 @@ _HOLDER_SEED = 20040
 # 50-digit mpmath (45.8: 2.2e-13); but from r near 44 K_nu overflows below
 # 1e-6, where phi(0) stands in, 6.1e-14 off at r = 44 and 1.03e-13 at 44.7
 SOBOLEV_MAX_R = 44.0
-
-
-def _is_nonneg_integer(x: float, tol: float = 1e-12) -> bool:
-    return x >= -tol and abs(x - round(x)) < tol
 
 
 @dataclass(frozen=True)
@@ -85,21 +82,26 @@ class Kernel:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ArgumentError(f"unknown kernel family {self.family!r}")
-        _check_positive_int(self.dim, "dim")
+        object.__setattr__(self, "dim", _check_positive_int(self.dim, "dim"))
         for name in ("sigma", "beta", "r"):
-            if not math.isfinite(getattr(self, name)):
-                raise ArgumentError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if not (self.sigma > 0):
-            raise ArgumentError(f"sigma must be positive, got {self.sigma!r}")
-        if self.family == INVERSE_MULTIQUADRIC and not (self.beta > 0):
-            raise ArgumentError(f"beta must be positive, got {self.beta!r}")
+            object.__setattr__(self, name, _check_real(getattr(self, name), name))
+        # the gaussian divides by 2 sigma^2 and the inverse multiquadric adds sigma^2
+        if not (self.sigma > 0 and 0.0 < 2.0 * (self.sigma * self.sigma) < math.inf):
+            raise ArgumentError(f"need 0 < sigma and 0 < 2 sigma^2 < inf, got sigma={self.sigma!r}")
+        if self.family == INVERSE_MULTIQUADRIC:
+            if not (self.beta > 0):
+                raise ArgumentError(f"beta must be positive, got {self.beta!r}")
+            with np.errstate(over="ignore", under="ignore"):
+                diagonal = np.float64(self.sigma) ** (-2.0 * self.beta)
+            if not 0.0 < diagonal < math.inf:
+                raise ArgumentError(f"sigma^(-2 beta) = {diagonal:.3g} is not a positive float")
         if self.family == SOBOLEV:
             excess = self.r - self.dim / 2.0
             if excess <= 0:
                 raise ArgumentError(
                     f"sobolev order r={self.r} must exceed dim/2={self.dim / 2.0}"
                 )
-            if _is_nonneg_integer(excess):
+            if abs(excess - round(excess)) < 1e-12:
                 raise ArgumentError(
                     f"sobolev order r={self.r} with dim={self.dim} hits the "
                     "excluded half-integer gap (r - dim/2 must not be an integer)"
@@ -165,7 +167,7 @@ class Kernel:
 
         # 2 pi^r / Gamma(r) x^nu K_nu(2 pi x); at x = 0 and wherever kv
         # overflows the product is 0 * inf or inf, and phi rounds to phi(0)
-        r = float(self.r)
+        r = self.r
         bessel = np.multiply(x, 2.0 * math.pi)
         kv(r - 0.5, bessel, out=bessel)
         x **= r - 0.5
@@ -185,7 +187,7 @@ class Kernel:
             return math.pi
         if self.dim == 1 and self.r == 2:
             return math.pi / 2.0
-        return _sobolev_profile_zero(float(self.r), int(self.dim))
+        return _sobolev_profile_zero(self.r, self.dim)
 
     def kappa(self) -> float:
         """sup over the cube of sqrt(K(u, u)); equals sqrt of the diagonal."""
@@ -206,10 +208,13 @@ class Kernel:
                 "inverse multiquadric kernel"
             )
         _check_nonnegative_int(m, "m")
-        if self.family == GAUSSIAN:
-            amp = (2.0 * self.sigma**2 * math.pi) ** (self.dim / 2.0)
-            return amp * math.exp(-self.sigma**2 * math.pi**2 * self.dim * m**2 / 2.0)
-        return (1.0 + self.dim * m**2 / 4.0) ** (-self.r)
+        try:
+            if self.family == GAUSSIAN:
+                amp = (2.0 * self.sigma**2 * math.pi) ** (self.dim / 2.0)
+                return amp * math.exp(-self.sigma**2 * math.pi**2 * self.dim * m**2 / 2.0)
+            return (1.0 + self.dim * m**2 / 4.0) ** (-self.r)
+        except OverflowError:
+            raise ArgumentError(f"Gamma_m of {self} leaves the float range at m={m}") from None
 
     # -- smoothness data ----------------------------------------------
 
@@ -232,12 +237,12 @@ class Kernel:
                 "the sobolev Hölder constant is only available for dim=1"
             )
         alpha = min(1.0, self.r - 0.5)
-        return alpha, _sobolev_holder_constant(float(self.r), alpha)
+        return alpha, _sobolev_holder_constant(self.r, alpha)
 
     # -- serialization ------------------------------------------------
 
     def to_json(self) -> dict:
-        out = {"family": self.family, "sigma": self.sigma, "dim": int(self.dim)}
+        out = {"family": self.family, "sigma": self.sigma, "dim": self.dim}
         if self.family == INVERSE_MULTIQUADRIC:
             out["beta"] = self.beta
         if self.family == SOBOLEV:
@@ -248,14 +253,10 @@ class Kernel:
     def from_json(obj: dict) -> "Kernel":
         if not isinstance(obj, dict) or "family" not in obj:
             raise ArgumentError("kernel config must be an object with a 'family' key")
-        known = {"family", "sigma", "beta", "r", "dim"}
-        extra = set(obj) - known
+        extra = set(obj) - {"family", "sigma", "beta", "r", "dim"}
         if extra:
             raise ArgumentError(f"unknown kernel config keys: {sorted(extra)}")
-        kw = dict(obj)
-        if isinstance(kw.get("dim"), float) and kw["dim"].is_integer():
-            kw["dim"] = int(kw["dim"])  # a config file may spell 2 as 2.0
-        return Kernel(**kw)
+        return Kernel(**obj)
 
 
 def _sq_dists(X: np.ndarray, Y: np.ndarray) -> np.ndarray:

@@ -30,7 +30,13 @@ from typing import NamedTuple
 import numpy as np
 
 from ._report import Report
-from .errors import ArgumentError, DivergenceError, _check_positive_int
+from .errors import (
+    ArgumentError,
+    DivergenceError,
+    _check_nonnegative_int,
+    _check_positive_int,
+    _check_real,
+)
 
 DEFAULT_WIDTHS = (64, 64)
 # Adam's moment decay rates and denominator guard (Kingma and Ba's defaults)
@@ -56,9 +62,8 @@ def theoretical_widths(N: int, M: int) -> WidthSchedule:
     configuration.  A warning is issued when M <= 5 N^2, where the
     schedule's hypothesis fails.
     """
-    _check_positive_int(N, "input dimension N")
-    if not (isinstance(M, (int, np.integer)) and M >= 2):
-        raise ArgumentError(f"M must be an integer >= 2, got {M!r}")
+    N = _check_positive_int(N, "input dimension N")
+    M = _check_positive_int(M, "M", 2)
     if M <= 5 * N * N:
         warnings.warn(
             f"width schedule assumes M > 5 N^2 (here M={M}, 5N^2={5 * N * N}); "
@@ -71,7 +76,7 @@ def theoretical_widths(N: int, M: int) -> WidthSchedule:
         w1 = N * (M - 1)
         w2 = 3 * ((N + 1 + 1) // 2) * (5 * M) ** N
     params = w1 * (N + 1) + w2 * (w1 + 1) + w2
-    return WidthSchedule(int(w1), int(w2), int(params))
+    return WidthSchedule(w1, w2, params)
 
 
 @dataclass
@@ -97,21 +102,26 @@ class TanhNetwork:
         return [self.W1, self.b1, self.W2, self.b2, self.a]
 
 
+def _check_widths(widths) -> tuple[int, int]:
+    """The two hidden widths as ints; anything but two integers >= 1 raises."""
+    if not (isinstance(widths, (tuple, list, np.ndarray)) and len(widths) == 2):
+        raise ArgumentError(f"widths must be two integers >= 1, got {widths!r}")
+    return tuple(_check_positive_int(w, "widths entry") for w in widths)
+
+
 def init(input_dim: int, widths: tuple[int, int], seed: int) -> TanhNetwork:
     """Glorot-uniform weights, zero biases, deterministic per seed."""
-    _check_positive_int(input_dim, "input_dim")
-    w1, w2 = int(widths[0]), int(widths[1])
-    if w1 < 1 or w2 < 1:
-        raise ArgumentError(f"widths must be >= 1, got {widths!r}")
-    rng = np.random.default_rng(seed)
+    input_dim = _check_positive_int(input_dim, "input_dim")
+    w1, w2 = _check_widths(widths)
+    rng = np.random.default_rng(_check_nonnegative_int(seed, "seed"))
 
     def glorot(fan_out, fan_in):
         limit = math.sqrt(6.0 / (fan_in + fan_out))
         return rng.uniform(-limit, limit, size=(fan_out, fan_in))
 
     return TanhNetwork(
-        input_dim=int(input_dim),
-        W1=glorot(w1, int(input_dim)),
+        input_dim=input_dim,
+        W1=glorot(w1, input_dim),
         b1=np.zeros(w1),
         W2=glorot(w2, w1),
         b2=np.zeros(w2),
@@ -182,7 +192,7 @@ def loss_mse(net: TanhNetwork, X, y) -> float:
 
 
 @dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(Report):
     """Training hyperparameters; defaults follow the package conventions.
 
     ``lr_schedule`` is either "constant" or "cosine" (decay to zero across
@@ -200,46 +210,17 @@ class TrainConfig:
     lr_schedule: str = "cosine"
 
     def __post_init__(self):
-        # a float count is refused; the CLI converts a config file's 3.0 first
-        for name in ("epochs", "batch_size", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ArgumentError(f"{name} must be an integer, got {value!r}")
-        if self.seed < 0:
-            raise ArgumentError(f"seed must be >= 0, got {self.seed!r}")
-        if self.epochs < 0:
-            raise ArgumentError(f"epochs must be >= 0, got {self.epochs!r}")
-        if self.batch_size < 1:
-            raise ArgumentError(f"batch_size must be >= 1, got {self.batch_size!r}")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
-            raise ArgumentError(
-                f"learning_rate must be finite and > 0, got {self.learning_rate!r}"
-            )
-        # init reads only two widths and truncates floats, so check them here
-        if not (
-            isinstance(self.widths, (tuple, list, np.ndarray))
-            and len(self.widths) == 2
-            and all(
-                isinstance(w, (int, np.integer)) and not isinstance(w, bool) and w >= 1
-                for w in self.widths
-            )
-        ):
-            raise ArgumentError(f"widths must be two integers >= 1, got {self.widths!r}")
+        object.__setattr__(self, "epochs", _check_nonnegative_int(self.epochs, "epochs"))
+        object.__setattr__(self, "batch_size", _check_positive_int(self.batch_size, "batch_size"))
+        object.__setattr__(self, "learning_rate", _check_real(self.learning_rate, "learning_rate"))
+        object.__setattr__(self, "seed", _check_nonnegative_int(self.seed, "seed"))
+        object.__setattr__(self, "widths", _check_widths(self.widths))
+        if not self.learning_rate > 0.0:
+            raise ArgumentError(f"learning_rate must be > 0, got {self.learning_rate!r}")
         if self.lr_schedule not in ("constant", "cosine"):
             raise ArgumentError(
                 f"lr_schedule must be 'constant' or 'cosine', got {self.lr_schedule!r}"
             )
-
-    def to_json(self) -> dict:
-        # the casts turn a caller's numpy integers or a config file's 1 into JSON types
-        return {
-            "epochs": int(self.epochs),
-            "batch_size": int(self.batch_size),
-            "learning_rate": float(self.learning_rate),
-            "seed": int(self.seed),
-            "widths": [int(w) for w in self.widths],
-            "lr_schedule": self.lr_schedule,
-        }
 
 
 @dataclass(frozen=True)
@@ -386,11 +367,11 @@ def train(
         sup_err = float("nan")
         mean_abs = float("nan")
     return TrainReport(
-        epochs=int(config.epochs),
+        epochs=config.epochs,
         final_train_mse=final_mse,
         heldout_sup_error=sup_err,
         heldout_mean_abs=mean_abs,
         param_count=net.param_count,
-        seed=int(config.seed),
+        seed=config.seed,
         loss_curve=curve,
     )

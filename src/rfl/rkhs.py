@@ -36,7 +36,13 @@ import numpy as np
 from scipy.linalg import cho_solve
 
 from . import _exact
-from .errors import ArgumentError, SingularGramError, _check_nonnegative_int, _check_positive_int
+from .errors import (
+    ArgumentError,
+    SingularGramError,
+    _check_nonnegative_int,
+    _check_positive_int,
+    _check_real,
+)
 from .geometry import PointSet, halton_points, uniform_grid
 from .kernels import Kernel
 
@@ -277,7 +283,7 @@ def sample_unit_ball(
     """
     _check_positive_int(n_centers, "n_centers")
     _check_nonnegative_int(seed, "seed")
-    if isinstance(norm_target, bool) or not (0.0 < norm_target <= 1.0):
+    if not 0.0 < _check_real(norm_target, "norm_target") <= 1.0:
         raise ArgumentError(f"norm_target must lie in (0, 1], got {norm_target!r}")
     rng = np.random.default_rng(seed)
     for _ in range(_SAMPLE_ATTEMPTS):

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import _exact
 from ._report import Report
-from .errors import ArgumentError, SingularGramError, _check_positive_int
+from .errors import ArgumentError, SingularGramError, _check_positive_int, _check_real
 from .geometry import fill_distance, uniform_grid
 from .kernels import Kernel
 from .rkhs import GramSystem, build_gram
@@ -101,18 +101,17 @@ def check_eigen_lower_bound(kernel: Kernel, m: int) -> SpectralReport:
     the spectral density over [-m/2, m/2]^d; the stronger m^d variant is
     evaluated alongside.  Flags carry a 1e-6 relative slack.
     """
-    _check_positive_int(m, "grid parameter m")
-    d = int(kernel.dim)
-    gamma = kernel.gamma_m(int(m))
-    system = build_gram(kernel, uniform_grid(int(m), d))
+    m = _check_positive_int(m, "grid parameter m")
+    gamma = kernel.gamma_m(m)
+    system = build_gram(kernel, uniform_grid(m, kernel.dim))
     lam, method = lambda_min_accurate(system)
     bound = m * gamma
-    bound_pow = float(m**d) * gamma
+    bound_pow = float(m**kernel.dim) * gamma
     slack = 1.0 - 1e-6
     return SpectralReport(
         kernel=kernel,
-        m=int(m),
-        d=d,
+        m=m,
+        d=kernel.dim,
         lambda_min=lam,
         inv_op_norm=1.0 / lam,
         bound_m_gamma=bound,
@@ -134,9 +133,9 @@ def holder_constant_G(system: GramSystem, s: float, C_F: float) -> float:
     route whose smallest eigenvalue lies below the noise floor that raises
     :class:`SingularGramError`.
     """
-    if isinstance(s, bool) or not (0.0 < s <= 1.0):
+    if not 0.0 < _check_real(s, "exponent s") <= 1.0:
         raise ArgumentError(f"exponent s must be a number in (0, 1], got {s!r}")
-    if isinstance(C_F, bool) or not (math.isfinite(C_F) and C_F >= 0.0):
+    if not _check_real(C_F, "functional constant") >= 0.0:
         raise ArgumentError(f"functional constant must be finite and nonnegative, got {C_F!r}")
     alpha, c_k = system.kernel.holder_data()
     h = fill_distance(system.points)

@@ -742,8 +742,15 @@ def test_negative_seed_exits_2(argv, tmp_path):
         # Python's json reads the non-standard Infinity literal
         (["rates", "--config", "{cfg}"],
          '{"kernel": {"family": "sobolev", "r": Infinity}, "m_list": [2, 4, 6, 8]}'),
+        # a 400-digit int exited 1 with an OverflowError from float(), and one
+        # past Python's 4300-digit limit with a ValueError from json.loads
+        *[
+            (["rates", "--config", "{cfg}"],
+             '{"kernel": {"family": "gaussian", "sigma": 1%s}, "m_list": [2, 4, 6, 8]}' % ("0" * n))
+            for n in (400, 5000)
+        ],
     ],
-    ids=["sigma-inf", "r-nan", "config-r-Infinity"],
+    ids=["sigma-inf", "r-nan", "config-r-Infinity", "config-sigma-400-digits", "config-5000-digits"],
 )
 def test_non_finite_kernel_parameter_exits_2(argv, file_cfg, tmp_path):
     if file_cfg is not None:
@@ -822,3 +829,128 @@ def test_cli_runs_do_not_check_the_metaschema(tmp_path, monkeypatch):
     assert run(argv) == 0
     assert rfl.cli._validator("eigen") is rfl.cli._validator("eigen")
     assert rfl.cli._validator.cache_info().misses == 1
+
+
+# -- numbers: out of range, and their spelling in a config file ---------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # sigma^2 underflows: the gaussian Gram diagonal was NaN
+        ["rates", "--kernel", "gaussian", "--sigma", "1e-300", "--m-list", "1,2,3,4"],
+        # the diagonal sigma^(-2 beta) overflows
+        ["rates", "--kernel", "inverse_multiquadric", "--sigma", "1e-3", "--beta", "200",
+         "--m-list", "1,2,3,4"],
+        # sigma^2 overflows
+        ["project", "--kernel", "gaussian", "--sigma", "1e200", "--m", "2", "--n-samples", "2"],
+        # Gamma_m's amplitude (2 pi sigma^2)^(d/2) overflows
+        ["eigen", "--kernel", "gaussian", "--sigma", "1e100", "--d", "4", "--m-list", "1"],
+    ],
+    ids=["gaussian-sigma-1e-300", "imq-beta-200", "gaussian-sigma-1e200", "gamma-m-d4"],
+)
+def test_kernel_constants_past_the_float_range_exit_2(argv, tmp_path, capsys):
+    # each exited 1 with a traceback
+    assert run([*argv, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("sigma", ["1e-150", "1e150"])
+def test_extreme_sigma_inside_the_float_range_still_runs(sigma, tmp_path):
+    argv = ["project", "--kernel", "gaussian", "--sigma", sigma, "--m", "2", "--n-samples", "2"]
+    assert run([*argv, "--out", str(tmp_path / "o")]) == 0
+
+
+@pytest.mark.parametrize("flag", [["--weight", "sin2pi"], ["--link", "logistic"]])
+def test_functional_with_a_weight_or_link_exits_2(flag, tmp_path, capsys):
+    # the run used the functional and the report echoed the ignored flag
+    argv = ["train", *GAUSS_FLAGS, "--m", "2", "--n-samples", "4", "--epochs", "1",
+            "--widths", "2,2", "--functional", '{"kind": "gflm", "beta": "one"}', *flag]
+    assert run([*argv, "--out", str(tmp_path / "o")]) == 2
+    assert "functional" in capsys.readouterr().err
+
+
+# one config per command holding every typed key, each at an integral value
+_TRAIN_SETTINGS = {"n_samples": 4, "widths": [2, 2], "epochs": 1, "batch_size": 2,
+                   "learning_rate": 1.0}
+_ALL_KERNEL = {"family": "gaussian", "sigma": 1.0, "beta": 1.0, "r": 1.0, "dim": 1}
+_SPELLING_BASES = {
+    "rates": {"kernel": _ALL_KERNEL, "m_list": [1, 2, 3, 4], "eval_resolution": 8},
+    "eigen": {"kernel": _ALL_KERNEL, "m_list": [1, 2]},
+    "project": {"kernel": _ALL_KERNEL, "m": 2, "n_samples": 2, "n_centers": 3,
+                "eval_resolution": 8},
+    "train": {
+        "kernel": _ALL_KERNEL,
+        "m": 2,
+        "functional": {
+            "kind": "ode_map",
+            "ode": {"rhs": "u_minus_h", "a": 0.0, "b": 1.0, "h0": 2.0, "steps": 16},
+            "quadrature_points": 33,
+        },
+        **_TRAIN_SETTINGS,
+    },
+    "flm": {"kernel": _ALL_KERNEL, "m_list": [1, 2], **_TRAIN_SETTINGS},
+    "meta": {"theorem": "sobolev", "M": 64,
+             "params": {"r": 2.0, "s": 1.0, "d": 1, "sigma": 1.0, "beta": 1.0, "c": 1.0}},
+}
+
+
+def _typed_paths(schema: dict, path: tuple = ()):
+    """(path, type) of every integer or number in a schema; "*" stands for each list item."""
+    if schema.get("type") == "object":
+        for key, sub in schema["properties"].items():
+            yield from _typed_paths(sub, (*path, key))
+    elif schema.get("type") == "array":
+        yield from _typed_paths(schema["items"], (*path, "*"))
+    elif schema.get("type") in ("integer", "number"):
+        yield path, schema["type"]
+
+
+_SPELLING_ROWS = [
+    (command, path, kind)
+    for command, schema in sorted(rfl.cli._COMMAND_SCHEMAS.items())
+    for path, kind in _typed_paths(schema)
+]
+
+
+def _respelled(value, path: tuple, kind: str):
+    """``value`` with the numbers at ``path`` spelled 2.0 for an integer and 1 for a number."""
+    if not path:
+        return float(value) if kind == "integer" else int(value)
+    head, rest = path[0], path[1:]
+    if head == "*":
+        return [_respelled(v, rest, kind) for v in value]
+    return {**value, head: _respelled(value[head], rest, kind)}
+
+
+def _outputs(command: str, cfg: dict, where: Path) -> dict:
+    where.mkdir()
+    (where / "cfg.json").write_text(json.dumps(cfg))
+    assert run([command, "--config", str(where / "cfg.json"), "--out", str(where / "o")]) == 0
+    return {p.relative_to(where).as_posix(): p.read_bytes() for p in (where / "o").rglob("*.*")}
+
+
+@pytest.mark.parametrize(
+    "command, path, kind", _SPELLING_ROWS, ids=[f"{c}-{'.'.join(p)}" for c, p, _ in _SPELLING_ROWS]
+)
+def test_config_file_spelling_of_a_number_does_not_change_the_outputs(
+    command, path, kind, tmp_path
+):
+    # "steps": 16.0 and "quadrature_points": 33.0 exited 2, "sigma": 1 wrote
+    # sigma=1 into the kernel label, and report.json echoed each spelling
+    base = {"seed": 1, "threads": 1, **_SPELLING_BASES[command]}
+    other = _respelled(base, path, kind)
+    assert json.dumps(other) != json.dumps(base)
+    assert _outputs(command, base, tmp_path / "a") == _outputs(command, other, tmp_path / "b")
+
+
+def test_sigma_flag_and_config_file_int_give_the_same_bytes(tmp_path):
+    argv = ["rates", "--m-list", "1,2,3,4"]
+    (tmp_path / "cfg.json").write_text('{"kernel": {"family": "gaussian", "sigma": 1}}')
+    outputs = []
+    for name, extra in [("flag", ["--kernel", "gaussian", "--sigma", "1"]),
+                        ("file", ["--config", str(tmp_path / "cfg.json")])]:
+        assert run([*argv, *extra, "--out", str(tmp_path / name)]) == 0
+        outputs.append([read(tmp_path / name / f) for f in ("report.json", "tables/rates.csv")])
+    assert outputs[0] == outputs[1]
+    assert "gaussian(sigma=1.0,d=1)" in outputs[0][1]

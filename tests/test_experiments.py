@@ -92,10 +92,11 @@ def test_generate_dataset_rejects_bool_sample_count(n_samples):
 
 
 def test_generate_dataset_rejects_non_integral_and_bool_grid_sizes():
-    for m in (2.9, True):
+    # a float is not a count, even 2.0; only a config file may spell 2 that way
+    for m in (2.9, True, 2.0):
         with pytest.raises(ArgumentError):
             generate_dataset(GAUSS, ENERGY, m=m, n_samples=5, seed=0)
-    assert generate_dataset(GAUSS, ENERGY, m=2.0, n_samples=5, seed=0).grid.grid_m == 2
+    assert generate_dataset(GAUSS, ENERGY, m=np.int64(2), n_samples=5, seed=0).grid.grid_m == 2
 
 
 def test_error_decomposition_triangle_and_fields():
@@ -179,7 +180,7 @@ def test_rate_study_power_validation():
     ],
 )
 def test_rate_study_power_rejects_non_integral_sizes(m_list, eval_resolution):
-    with pytest.raises(ArgumentError, match="must be an integer"):
+    with pytest.raises(ArgumentError, match="positive integer"):
         rate_study_power(GAUSS, m_list, eval_resolution=eval_resolution)
 
 
@@ -215,14 +216,17 @@ def test_rate_study_eigen():
 @pytest.mark.parametrize("m_list", [[2.9, 3.5], [True, 2]])
 def test_rate_study_eigen_rejects_non_integral_sizes(m_list):
     # [2.9, 3.5] used to report m = 2, 3
-    with pytest.raises(ArgumentError, match="must be an integer"):
+    with pytest.raises(ArgumentError, match="positive integer"):
         rate_study_eigen(Kernel("sobolev", r=1.0, dim=1), m_list)
 
 
-def test_rate_study_eigen_accepts_integral_floats():
-    study = rate_study_eigen(Kernel("sobolev", r=1.0, dim=1), [2.0, np.int64(3)])
+def test_rate_study_eigen_takes_numpy_ints_but_not_integral_floats():
+    study = rate_study_eigen(Kernel("sobolev", r=1.0, dim=1), [2, np.int64(3)])
+    assert [type(r.m) for r in study.reports] == [int, int]
     assert [r.m for r in study.reports] == [2, 3]
     assert study.d == 1
+    with pytest.raises(ArgumentError, match="positive integer"):
+        rate_study_eigen(Kernel("sobolev", r=1.0, dim=1), [2.0, 3])
 
 
 def test_flm_experiment_smoke():
@@ -270,7 +274,7 @@ def test_flm_experiment_builds_one_gram_system_per_grid_size(monkeypatch):
 def test_flm_experiment_rejects_non_integral_sizes(m_list, n_samples):
     # m_list=[2.9], n_samples=10.7 used to run m = 2 on 10 samples
     config = TrainConfig(epochs=1, widths=(4, 4), seed=0)
-    with pytest.raises(ArgumentError, match="must be an integer"):
+    with pytest.raises(ArgumentError, match="positive integer"):
         flm_experiment("sin2pi", "tanh", GAUSS, m_list, config, n_samples=n_samples)
 
 
@@ -401,4 +405,8 @@ def test_theorem_metadata_validation():
     ]:
         with pytest.raises(ArgumentError):
             theorem_metadata(theorem, M, params=params)
-    assert theorem_metadata("gaussian", 64, params={"d": 2.0})["params"]["d"] == 2
+    # d is a count: a library caller passes an int (the CLI converts a config file's 2.0)
+    for params in ({"d": 2.0}, {"q": 1.0}):
+        with pytest.raises(ArgumentError):
+            theorem_metadata("gaussian", 64, params=params)
+    assert theorem_metadata("gaussian", 64, params={"d": np.int64(2)})["params"]["d"] == 2

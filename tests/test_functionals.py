@@ -382,6 +382,13 @@ def test_target_functional_json_roundtrip():
         assert back == tf
 
 
+def test_ode_settings_are_held_as_plain_numbers():
+    # the ODE reals become floats and steps an int, so both spellings give one JSON form
+    tf = ode_map("u", 0, 1, np.float64(2.0), np.int64(64))
+    assert tf.to_json() == ode_map("u", 0.0, 1.0, 2.0, 64).to_json()
+    assert [type(tf.ode[k]) for k in ("a", "b", "h0", "steps")] == [float, float, float, int]
+
+
 def empirical_holder(functional: TargetFunctional, kernel: Kernel, n_pairs: int, seed: int):
     """Largest ratio |F(f) - F(g)| / |f - g|_sup over ``n_pairs`` sampled pairs.
 

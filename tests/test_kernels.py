@@ -265,12 +265,43 @@ def test_kernel_validation():
         ("inverse_multiquadric", "beta", math.inf),
         ("sobolev", "r", math.nan),
         ("sobolev", "r", math.inf),
+        ("gaussian", "sigma", True),
+        ("gaussian", "sigma", "1"),
+        ("gaussian", "sigma", None),
+        ("gaussian", "sigma", 10**400),
     ],
 )
 def test_kernel_rejects_non_finite_parameters(family, field, value):
-    # sigma=inf made the gaussian constant; r=nan or inf crashed inside scipy
+    # sigma=inf made the gaussian constant; r=nan or inf crashed inside scipy;
+    # sigma=True was labelled sigma=True, and "1" or None raised TypeError
     with pytest.raises(ArgumentError, match=field):
         Kernel(family, dim=1, **{field: value})
+
+
+def test_kernel_holds_plain_numbers():
+    k = Kernel("gaussian", sigma=1, dim=np.int64(2))
+    assert (type(k.sigma), type(k.dim)) == (float, int)
+    assert k == Kernel("gaussian", sigma=1.0, dim=2)
+
+
+@pytest.mark.parametrize(
+    "family, sigma, beta",
+    [("gaussian", 1e-300, 1.0), ("gaussian", 1e200, 1.0), ("inverse_multiquadric", 1e-3, 200.0),
+     ("inverse_multiquadric", 1e160, 1.0), ("inverse_multiquadric", 1e150, 1e3)],
+)
+def test_kernel_rejects_constants_past_the_float_range(family, sigma, beta):
+    # 2 sigma^2 must be a positive float, and so must the IMQ diagonal sigma^(-2 beta)
+    with pytest.raises(ArgumentError):
+        Kernel(family, sigma=sigma, beta=beta, dim=1)
+
+
+def test_gamma_m_past_the_float_range_raises():
+    # the gaussian amplitude (2 pi sigma^2)^(d/2) overflowed with an OverflowError
+    with pytest.raises(ArgumentError, match="float range"):
+        Kernel("gaussian", sigma=1e100, dim=4).gamma_m(1)
+    with pytest.raises(ArgumentError, match="float range"):
+        Kernel("sobolev", r=1.0, dim=1).gamma_m(10**200)
+    assert Kernel("gaussian", sigma=1e100, dim=1).gamma_m(1) == 0.0
 
 
 def test_sobolev_eval_needs_dim_one():
@@ -481,10 +512,12 @@ def test_from_json_rejects_a_dim_that_is_not_integral(dim):
         Kernel("gaussian", dim=dim)
 
 
-def test_from_json_accepts_an_integral_float_dim():
-    k = Kernel.from_json({"family": "gaussian", "dim": 2.0})
-    assert k.dim == 2 and type(k.dim) is int
-    assert Kernel.from_json({"family": "gaussian", "dim": np.int64(3)}).dim == 3
+def test_from_json_takes_an_int_dim_only():
+    # the CLI converts a config file's 2.0 before the kernel sees it
+    with pytest.raises(ArgumentError, match="positive integer"):
+        Kernel.from_json({"family": "gaussian", "dim": 2.0})
+    k = Kernel.from_json({"family": "gaussian", "dim": np.int64(3)})
+    assert k.dim == 3 and type(k.dim) is int
 
 
 def test_json_roundtrip():

@@ -89,6 +89,21 @@ def test_init_validation():
         init(True, (2, 2), seed=0)
 
 
+@pytest.mark.parametrize(
+    "widths, seed", [((8.7, 8), 0), ((8, 8, 8), 0), ((8,), 0), ((8, 8), 1.5), ((8, 8), -1)]
+)
+def test_init_rejects_widths_and_seeds_that_are_not_counts(widths, seed):
+    # (8.7, 8) built width 8, a third width was ignored, and seed=1.5 raised TypeError
+    with pytest.raises(ArgumentError):
+        init(3, widths, seed)
+
+
+def test_train_config_holds_plain_numbers():
+    cfg = TrainConfig(epochs=np.int64(2), learning_rate=1, widths=[np.int64(3), 4])
+    assert (type(cfg.epochs), type(cfg.learning_rate), cfg.widths) == (int, float, (3, 4))
+    assert cfg.to_json()["widths"] == [3, 4]
+
+
 def test_forward_frozen_composition():
     net = TanhNetwork(
         input_dim=1,

@@ -124,3 +124,42 @@ def test_import_loads_no_deferred_scipy_subpackage():
         if any(name == p or name.startswith(p + ".") for p in _DEFERRED_SCIPY)
     ]
     assert loaded == []
+
+
+# what makes an isinstance call a number-type check
+_NUMBER_TYPES = {"Integral", "Real", "Number", "integer", "floating"}
+
+
+def _number_checks(tree: ast.AST, where: str = ""):
+    """(function, line) of each number-type decision under ``tree``.
+
+    That is an ``.is_integer()`` call, or an ``isinstance`` whose types
+    name ``Integral``, ``Real``, ``Number``, ``np.integer`` or ``np.floating``.
+    """
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _number_checks(node, node.name)
+            continue
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Attribute) and func.attr == "is_integer":
+                yield where, node.lineno
+            if isinstance(func, ast.Name) and func.id == "isinstance" and len(node.args) == 2:
+                named = {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)}
+                named |= {n.attr for n in ast.walk(node.args[1]) if isinstance(n, ast.Attribute)}
+                if named & _NUMBER_TYPES:
+                    yield where, node.lineno
+        yield from _number_checks(node, where)
+
+
+def test_only_errors_decides_what_an_integer_or_a_finite_real_is():
+    # the rfl.errors checks are the one rule; cli._csv_cell reads number
+    # types to format a cell, not to validate one
+    found = []
+    for path in sorted(Path(rfl.__file__).parent.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        for where, line in _number_checks(ast.parse(path.read_text())):
+            if (path.name, where) != ("cli.py", "_csv_cell"):
+                found.append(f"{path.name}:{line} in {where or 'module'}")
+    assert found == []
